@@ -5,8 +5,8 @@ network site and an instance type. When the interruption model
 terminates a VM, the fleet provisions a replacement after a startup
 delay (seconds to minutes; manual deployment took the paper up to ten
 minutes). Training-state resynchronization after the reboot is modelled
-explicitly by the orchestrator (the state-transfer resync in
-``hivemind.run``), not by the fleet. Observers — e.g. the training
+explicitly by the run loop (``sync_state`` in ``hivemind.run``), not by
+the fleet. Observers — e.g. the training
 orchestrator — subscribe to up/down transitions.
 
 Beyond the sampled per-VM interruptions, slots can be *force-preempted*

@@ -4,7 +4,9 @@
 and topology, calibrated per-peer compute rates, matchmaking, the
 Moshpit averager, data loading from the object store, the DHT +
 monitor, and (optionally) a spot fleet with interruptions and a real
-numpy model trained with real gradients.
+numpy model trained with real gradients. One :class:`Membership`
+decides which peers are live, and one ``sync_state`` process brings a
+preempted or newly activated peer back.
 
 The returned :class:`RunResult` carries everything the paper reports
 per experiment: global/local throughput, per-epoch calculation /
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -33,6 +35,9 @@ from .averager import Contribution, MoshpitAverager
 from .dht import DhtNetwork, DhtNode
 from .matchmaking import MIN_MATCHMAKING_S, form_groups, matchmaking_delay
 from .monitor import PROGRESS_KEY, TrainingMonitor
+
+if TYPE_CHECKING:  # the control plane imports this module via repro.core
+    from ..controlplane import Decision
 
 __all__ = [
     "PeerSpec",
@@ -226,10 +231,9 @@ class RunResult:
     uptime_intervals_by_site: dict[str, list[tuple[float, float]]] = field(
         default_factory=dict
     )
-    #: Controller decision log (:class:`repro.controlplane.Decision`),
-    #: in the order they were taken. Byte-identical across
-    #: identically-seeded runs.
-    decisions: list = field(default_factory=list)
+    #: Controller decision log, in the order they were taken.
+    #: Byte-identical across identically-seeded runs.
+    decisions: list[Decision] = field(default_factory=list)
     #: Applied control actions by kind ("migrate", "scale_up", ...).
     control_actions: dict[str, int] = field(default_factory=dict)
 
@@ -266,9 +270,6 @@ class RunResult:
         if calc <= 0:
             return 0.0
         return self.total_samples / calc
-
-    def speedup_over(self, baseline_sps: float) -> float:
-        return self.throughput_sps / baseline_sps
 
     def average_egress_rate_bps(self) -> float:
         """Mean per-site averaging egress rate over the whole run."""
@@ -315,28 +316,112 @@ class _NumericState:
             self.optimizers[site].step()
 
 
-class _UptimeLedger:
-    """Per-site VM uptime windows for time-integrated spot billing."""
+class Membership:
+    """Who is up, synced and active in a run: its one liveness model.
 
-    def __init__(self, env: Environment, sites: list[str]):
+    * *Up*: the site's VM is running. A site without a fleet slot is
+      always up; a slot's site is up from each boot to its next
+      preemption.
+    * *Synced*: the site holds the current training state. It loses the
+      state when it goes down or is deactivated, and regains it when the
+      run's ``sync_state`` process has downloaded it from a peer (the
+      paper saw that take up to two hivemind epochs).
+    * *Active*: the site is on the training roster. Under a controller
+      this is the controller's own active set; without one it is the
+      starting roster, so a standby peer never trains without a policy.
+
+    A site is *live*, and contributes samples, when it is all three.
+    Whether the run has a fleet or a controller is settled here, once;
+    no query asks again.
+
+    The object also records each site's VM uptime windows, which
+    time-integrated spot billing reads.
+    """
+
+    def __init__(self, env: Environment, roster: list[str],
+                 starting: list[str], fleet_sites: list[str],
+                 active: Optional[set[str]] = None):
         self.env = env
-        self.intervals: dict[str, list[tuple[float, float]]] = {
-            site: [] for site in sites
+        #: Every site in config order (starting peers, then standby);
+        #: queries answer in this order and donor ties break by it.
+        self.roster = list(roster)
+        #: Sites on fleet slots start down and come up as their VM boots.
+        self.up: set[str] = set(self.roster) - set(fleet_sites)
+        self.synced: set[str] = set(starting)
+        self.active: set[str] = set(starting) if active is None else active
+        self.state_syncs = 0
+        self.uptime: dict[str, list[tuple[float, float]]] = {
+            site: [] for site in self.roster
         }
-        self._since: dict[str, float] = {}
+        self._up_since: dict[str, float] = {}
+        #: One-shot event training blocks on while no site is live;
+        #: re-armed on every sync so each all-dead episode gets its own.
+        self._synced_event = Event(env)
+        for site in starting:
+            self.open_uptime(site)
 
-    def mark_up(self, site: str) -> None:
-        if site in self.intervals and site not in self._since:
-            self._since[site] = self.env.now
+    # -- queries -----------------------------------------------------------
 
-    def mark_down(self, site: str) -> None:
-        start = self._since.pop(site, None)
+    def is_up(self, site: str) -> bool:
+        return site in self.up
+
+    def live(self) -> list[str]:
+        """Sites that are up, synced and active, in roster order."""
+        return [site for site in self.roster
+                if site in self.up and site in self.synced
+                and site in self.active]
+
+    def donor_for(self, site: str, rtt_s) -> Optional[str]:
+        """The synced peer nearest ``site`` (first in roster order on a
+        tie), or ``None`` when no other peer holds the state."""
+        donors = [s for s in self.roster if s in self.synced and s != site]
+        if not donors:
+            return None
+        return min(donors, key=lambda donor: rtt_s(donor, site))
+
+    def wait_for_sync(self) -> Event:
+        """An event that fires when the next site finishes syncing."""
+        return self._synced_event
+
+    # -- transitions -------------------------------------------------------
+
+    def vm_up(self, site: str) -> bool:
+        """A fleet slot booted. True when the site must sync its state:
+        it is a replacement (not the initial boot) for an active site.
+        Deactivated sites stay parked until the controller activates
+        them again."""
+        self.up.add(site)
+        if self.env.now > 0 and site in self.active:
+            self.open_uptime(site)
+            return True
+        return False
+
+    def vm_down(self, site: str) -> None:
+        self.up.discard(site)
+        self.leave(site)
+
+    def leave(self, site: str) -> None:
+        """The site stops training: its VM went down or was parked."""
+        self.close_uptime(site)
+        self.synced.discard(site)
+
+    def mark_synced(self, site: str) -> None:
+        self.synced.add(site)
+        event, self._synced_event = self._synced_event, Event(self.env)
+        event.succeed()
+
+    def open_uptime(self, site: str) -> None:
+        if site not in self._up_since:
+            self._up_since[site] = self.env.now
+
+    def close_uptime(self, site: str) -> None:
+        start = self._up_since.pop(site, None)
         if start is not None and self.env.now > start:
-            self.intervals[site].append((start, self.env.now))
+            self.uptime[site].append((start, self.env.now))
 
     def close(self) -> None:
-        for site in list(self._since):
-            self.mark_down(site)
+        for site in list(self._up_since):
+            self.close_uptime(site)
 
 
 def run_hivemind(config: HivemindRunConfig) -> RunResult:
@@ -370,10 +455,6 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         peer.site: get_gpu(peer.gpu).avg_stream_cap_bps
         for peer in all_peers
     }
-    #: Control-plane state; both stay ``None`` on static runs so every
-    #: hot path below keeps its original shape byte for byte.
-    controller = None
-    uptime: Optional[_UptimeLedger] = None
     averager = MoshpitAverager(
         env,
         fabric,
@@ -391,20 +472,6 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         links = {site: StoreLink(dataset) for site in all_sites}
 
     fleet: Optional[SpotFleet] = None
-    #: Sites whose training state is current; a peer that rejoins after
-    #: an interruption must first download the model state from a live
-    #: peer (the paper observed this taking up to two hivemind epochs
-    #: because averaging keeps the network busy).
-    synced: set[str] = set(sites)
-    state_syncs = [0]
-    #: One-shot event waiters block on when no peer is live; re-armed
-    #: on every wake so each all-dead episode gets a fresh signal.
-    rejoin_signal: list[Event] = [Event(env)]
-
-    def wake_rejoin_waiters() -> None:
-        signal, rejoin_signal[0] = rejoin_signal[0], Event(env)
-        signal.succeed()
-
     #: Crash/zone-outage faults need force-preemptible slots even when
     #: no stochastic interruption model is configured.
     needs_fleet = config.interruption_model is not None or (
@@ -427,62 +494,6 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             zone_of=lambda s: config.topology.get(s).zone,
         )
 
-        def resync(site: str):
-            if chaos:
-                # The replacement VM rejoins the DHT cold before it can
-                # participate again.
-                node = dht_nodes[site]
-                if not node.alive:
-                    yield from node.rejoin(coordinator_node)
-            donors = [s for s in synced if s != site]
-            if donors:
-                donor = min(
-                    donors, key=lambda d: config.topology.rtt_s(d, site)
-                )
-                with tel.span("state_sync", category="sync", track=site,
-                              donor=donor):
-                    yield fabric.transfer(
-                        donor, site, model.gradient_bytes("fp16"), tag="sync"
-                    )
-                state_syncs[0] += 1
-                tel.counter("state_syncs_total",
-                            "Model-state downloads after rejoin").inc()
-            synced.add(site)
-            wake_rejoin_waiters()
-
-        def on_fleet_event(event):
-            if not event.up:
-                if uptime is not None:
-                    uptime.mark_down(event.site)
-                synced.discard(event.site)
-                if chaos:
-                    averager.notify_peer_down(event.site)
-                    node = dht_nodes.get(event.site)
-                    if node is not None and node.alive:
-                        node.leave()
-            elif env.now > 0:  # a rejoin, not the initial boot
-                # Under a controller, deactivated sites stay parked:
-                # only sites the policy keeps active resync on revival.
-                if controller is None or event.site in controller.active:
-                    if uptime is not None:
-                        uptime.mark_up(event.site)
-                    env.process(resync(event.site))
-
-        fleet.subscribe(on_fleet_event)
-
-    def live_sites() -> list[str]:
-        if controller is None:
-            if fleet is None:
-                return list(sites)
-            return [slot.site for slot in fleet.slots
-                    if slot.up and slot.site in synced]
-        if fleet is None:
-            return [site for site in all_sites
-                    if site in synced and site in controller.active]
-        return [slot.site for slot in fleet.slots
-                if slot.up and slot.site in synced
-                and slot.site in controller.active]
-
     numeric = (
         _NumericState(config.numeric, all_sites, config.seed)
         if config.numeric is not None
@@ -501,13 +512,9 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
     )
     dht_nodes = {site: DhtNode(dht_network, site) for site in all_sites}
     coordinator_node = dht_nodes[sites[0]]
-
-    if chaos and fleet is not None:
-        fleet_sites = {slot.site for slot in fleet.slots}
-        averager.set_liveness(
-            lambda s: s not in fleet_sites
-            or any(slot.up for slot in fleet.slots if slot.site == s)
-        )
+    for peer in standby:
+        # A spare joins the DHT only once the controller activates it.
+        dht_nodes[peer.site].leave()
 
     injector: Optional[FaultInjector] = None
     if schedule is not None:
@@ -526,65 +533,66 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             telemetry=tel if tracing else None,
         )
 
+    # -- membership: who trains, and how a peer comes back -----------------
+    def leave_training(site: str) -> None:
+        """Abort any round ``site`` is in and take it off the DHT."""
+        averager.notify_peer_down(site)
+        node = dht_nodes[site]
+        if node.alive:
+            node.leave()
+
+    def sync_state(site: str):
+        """Bring ``site`` back: (re)join the DHT, then download the model
+        state from the nearest synced peer. Fleet revivals and
+        controller activations both run this process."""
+        node = dht_nodes[site]
+        if not node.alive:
+            # A replacement VM or a spare joins the DHT cold.
+            yield from node.rejoin(coordinator_node)
+        donor = membership.donor_for(site, config.topology.rtt_s)
+        if donor is not None:
+            with tel.span("state_sync", category="sync", track=site,
+                          donor=donor):
+                yield fabric.transfer(
+                    donor, site, model.gradient_bytes("fp16"), tag="sync"
+                )
+            membership.state_syncs += 1
+            tel.counter("state_syncs_total",
+                        "Model-state downloads after rejoin").inc()
+        membership.mark_synced(site)
+
+    def on_fleet_event(event) -> None:
+        if not event.up:
+            membership.vm_down(event.site)
+            if chaos:
+                leave_training(event.site)
+        elif membership.vm_up(event.site):
+            env.process(sync_state(event.site))
+
     # -- control plane -----------------------------------------------------
-    if config.policy is not None or config.price_models:
-        uptime = _UptimeLedger(env, all_sites)
-        for site in sites:
-            uptime.mark_up(site)
+    controller = None
     if config.policy is not None:
         from ..controlplane import Controller
 
-        #: Sites that have completed an initial DHT join (the bootstrap
-        #: covers the starting roster; activated spares join lazily).
-        joined_sites = set(sites)
-
         def preemption_counts() -> dict[str, int]:
             counts: dict[str, int] = {}
-            if fleet is not None:
-                for slot in fleet.slots:
-                    loc = location_of(slot.site)
-                    counts[loc] = counts.get(loc, 0) + slot.interruptions
+            for slot in (fleet.slots if fleet is not None else ()):
+                loc = location_of(slot.site)
+                counts[loc] = counts.get(loc, 0) + slot.interruptions
             return counts
 
         def deactivate_peer(site: str) -> None:
-            if uptime is not None:
-                uptime.mark_down(site)
-            synced.discard(site)
-            node = dht_nodes[site]
-            if node.alive:
-                node.leave()
-            averager.notify_peer_down(site)
+            membership.leave(site)
+            leave_training(site)
 
-        def activate_peer_proc(site: str):
+        def activation(site: str):
             yield env.timeout(config.startup_s)
-            node = dht_nodes[site]
-            if not node.alive:
-                yield from node.rejoin(coordinator_node)
-            elif site not in joined_sites:
-                yield from node.join(coordinator_node)
-                joined_sites.add(site)
-            donors = [s for s in synced if s != site]
-            if donors:
-                donor = min(
-                    donors, key=lambda d: config.topology.rtt_s(d, site)
-                )
-                with tel.span("state_sync", category="sync", track=site,
-                              donor=donor):
-                    yield fabric.transfer(
-                        donor, site, model.gradient_bytes("fp16"),
-                        tag="sync",
-                    )
-                state_syncs[0] += 1
-                tel.counter("state_syncs_total",
-                            "Model-state downloads after rejoin").inc()
-            synced.add(site)
+            yield from sync_state(site)
             controller.finish_activation(site)
-            wake_rejoin_waiters()
 
         def activate_peer(site: str) -> None:
-            if uptime is not None:
-                uptime.mark_up(site)
-            env.process(activate_peer_proc(site))
+            membership.open_uptime(site)
+            env.process(activation(site))
 
         flat_prices: dict[str, float] = {}
         for peer in all_peers:
@@ -612,6 +620,15 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             telemetry=tel,
         )
 
+    membership = Membership(
+        env, all_sites, sites,
+        fleet_sites=all_sites if fleet is not None else [],
+        active=controller.active if controller is not None else None,
+    )
+    averager.set_liveness(membership.is_up)
+    if fleet is not None:
+        fleet.subscribe(on_fleet_event)
+
     epoch_stats: list[EpochStats] = []
     losses: list[float] = []
     metric_samples: list[MetricSample] = []
@@ -625,7 +642,7 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
                 yield env.timeout(config.metrics_interval_s)
                 metric_samples.append(MetricSample(
                     time_s=env.now,
-                    live_peers=len(live_sites()),
+                    live_peers=len(membership.live()),
                     epochs_done=len(epoch_stats),
                     samples_applied=sum(e.samples for e in epoch_stats),
                     egress_bytes_total=fabric.meter.total_bytes,
@@ -647,11 +664,10 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         contributed: dict[str, float] = {site: 0.0 for site in all_sites}
         remaining = float(target)
         while remaining > 1e-9:
-            live = live_sites()
+            live = membership.live()
             if not live:
-                # Block until a peer finishes resyncing instead of
-                # polling: the fleet wakes this event on every rejoin.
-                yield rejoin_signal[0]
+                # Block until a peer finishes syncing instead of polling.
+                yield membership.wait_for_sync()
                 continue
             effective: dict[str, float] = {}
             for site in live:
@@ -692,16 +708,25 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             tel.tracer.add_span(name, category, site, start_s, end_s,
                                 epoch=epoch)
 
+    def land_round(round_process, epoch: int, live: list[str],
+                   started_s: float):
+        """Wait for an averaging round, then trace and apply it."""
+        result = yield round_process
+        record_phase_spans(epoch, live, "transfer", "transfer", started_s,
+                           env.now)
+        if numeric is not None and result.average is not None:
+            numeric.apply(live, result.average)
+        return result
+
     def training():
         # Bootstrap the DHT before training starts.
         with tel.span("dht_bootstrap", category="dht", track="epochs"):
             bootstrap = dht_nodes[sites[0]]
             for site in sites[1:]:
                 yield from dht_nodes[site].join(bootstrap)
-        pending_round = None
-        pending_sites: list[str] = []
-        pending_epoch = -1
-        pending_started = 0.0
+        #: The overlapped round still in flight: (process, epoch, live
+        #: sites, start time), landed before the next round starts.
+        pending = None
         epoch_seconds = tel.histogram(
             "epoch_wall_seconds", "Wall time per hivemind epoch"
         )
@@ -746,18 +771,11 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             record_phase_spans(epoch, live, "matchmaking", "matchmaking",
                                matchmaking_start, matchmaking_start + delay)
 
-            if config.overlap_communication and pending_round is not None:
-                # Make sure the previous (overlapped) round has landed.
-                previous = yield pending_round
-                record_phase_spans(pending_epoch, pending_sites, "transfer",
-                                   "transfer", pending_started, env.now)
-                if numeric is not None and previous.average is not None:
-                    numeric.apply(pending_sites, previous.average)
-                if 0 <= pending_epoch < len(epoch_stats):
-                    epoch_stats[pending_epoch].rounds_retried = \
-                        previous.retries
-                    epoch_stats[pending_epoch].degraded = previous.degraded
-                pending_round = None
+            if pending is not None:
+                previous = yield from land_round(*pending)
+                epoch_stats[pending[1]].rounds_retried = previous.retries
+                epoch_stats[pending[1]].degraded = previous.degraded
+                pending = None
 
             round_start = env.now
             round_process = env.process(averager.run_round(contributions))
@@ -765,23 +783,17 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             round_degraded = False
             samples = int(sum(contributed.values()))
             if config.overlap_communication:
-                pending_round = round_process
-                pending_sites = live
-                pending_epoch = epoch
-                pending_started = round_start
-                transfer_s = 0.0  # accounted when the round lands
+                pending = (round_process, epoch, live, round_start)
+                transfer_s = 0.0  # hidden behind the next epoch's calc
             else:
-                result = yield round_process
+                result = yield from land_round(round_process, epoch, live,
+                                               round_start)
                 transfer_s = result.wall_time_s
                 round_retries = result.retries
                 round_degraded = result.degraded
                 if round_degraded and result.dropped_peers:
                     # Only the surviving contributions were applied.
                     samples = result.total_samples
-                record_phase_spans(epoch, live, "transfer", "transfer",
-                                   round_start, env.now)
-                if numeric is not None and result.average is not None:
-                    numeric.apply(live, result.average)
 
             if loss_values:
                 losses.append(float(np.mean(loss_values)))
@@ -809,16 +821,11 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             env.process(publish_progress(epoch, len(live), samples))
             if controller is not None:
                 controller.on_epoch_end(epoch_stats[-1])
-        if config.overlap_communication and pending_round is not None:
-            final = yield pending_round
-            record_phase_spans(pending_epoch, pending_sites, "transfer",
-                               "transfer", pending_started, env.now)
-            if epoch_stats:
-                epoch_stats[-1].transfer_s = final.wall_time_s
-                epoch_stats[-1].rounds_retried = final.retries
-                epoch_stats[-1].degraded = final.degraded
-            if numeric is not None and final.average is not None:
-                numeric.apply(pending_sites, final.average)
+        if pending is not None:
+            final = yield from land_round(*pending)
+            epoch_stats[-1].transfer_s = final.wall_time_s
+            epoch_stats[-1].rounds_retried = final.retries
+            epoch_stats[-1].degraded = final.degraded
 
     main = env.process(training())
     if monitor is not None:
@@ -828,28 +835,15 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         metrics_process = env.process(metrics_logger())
     env.run(main)
     duration = env.now
-    if uptime is not None:
-        uptime.close()
-    if monitor_process is not None and monitor_process.is_alive:
-        monitor_process.interrupt("run finished")
-        env.run(monitor_process)
-    if metrics_process is not None and metrics_process.is_alive:
-        metrics_process.interrupt("run finished")
-        env.run(metrics_process)
-
-    if config.overlap_communication:
-        # Fill in per-epoch transfer times measured by the averager.
-        for stats in epoch_stats:
-            if stats.transfer_s == 0.0 and stats.index < len(epoch_stats) - 1:
-                stats.transfer_s = 0.0  # hidden behind the next epoch's calc
+    membership.close()
+    for process in (monitor_process, metrics_process):
+        if process is not None and process.is_alive:
+            process.interrupt("run finished")
+            env.run(process)
 
     if tracing:
         tel.sync_kernel_metrics()
 
-    averaging_bytes = sum(
-        nbytes
-        for (src, dst), nbytes in fabric.meter.by_pair.items()
-    )
     return RunResult(
         config=config,
         epochs=epoch_stats,
@@ -857,14 +851,14 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         egress_bytes_by_class=dict(fabric.meter.by_class),
         egress_bytes_by_site=dict(fabric.meter.egress_by_site),
         egress_bytes_by_pair=dict(fabric.meter.by_pair),
-        averaging_bytes=averaging_bytes,
+        averaging_bytes=sum(fabric.meter.by_pair.values()),
         data_ingress_bytes_by_site={
             site: link.bill.ingress_bytes for site, link in links.items()
         },
         monitor_samples=len(monitor.samples) if monitor is not None else 0,
         interruptions=fleet.total_interruptions if fleet is not None else 0,
         peak_active_flows=fabric.peak_active_flows,
-        state_syncs=state_syncs[0],
+        state_syncs=membership.state_syncs,
         losses=losses,
         metrics=metric_samples,
         telemetry=tel if tracing else None,
@@ -873,8 +867,8 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         transfers_aborted=fabric.aborted_flows,
         fault_counts=dict(injector.counts) if injector is not None else {},
         uptime_intervals_by_site=(
-            {site: list(iv) for site, iv in uptime.intervals.items() if iv}
-            if uptime is not None else {}
+            {site: list(iv) for site, iv in membership.uptime.items() if iv}
+            if config.policy is not None or config.price_models else {}
         ),
         decisions=(
             list(controller.decisions) if controller is not None else []

@@ -365,10 +365,6 @@ class Fabric:
         self._rid_cache[(src, dst, channels)] = entry
         return entry
 
-    def ping_s(self, a: str, b: str) -> float:
-        """ICMP-style round-trip time between two sites, in seconds."""
-        return self.topology.rtt_s(a, b)
-
     @property
     def active_flows(self) -> int:
         return len(self._flows)

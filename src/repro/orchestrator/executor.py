@@ -44,9 +44,11 @@ def default_worker_count(jobs: int) -> int:
 
 def _force_shutdown(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down without waiting on stuck workers."""
+    # ``shutdown`` drops the pool's process table (CPython 3.9+), so
+    # take the workers first or there is nothing left to kill.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.kill()
         except (OSError, AttributeError):  # already gone

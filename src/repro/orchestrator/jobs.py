@@ -16,8 +16,10 @@ content-addressed store persists and :func:`result_from_record`
 rehydrates — including a reconstructed
 :class:`~repro.hivemind.RunResult` whose config is rebuilt from the
 experiment spec, so cost reports and egress accounting work on cache
-hits exactly as on fresh runs. The only field a rehydrated result
-loses is the live ``telemetry`` sink (cached runs record no spans).
+hits exactly as on fresh runs. The run payload's converters are derived
+once, at import, from ``RunResult``'s dataclass fields and annotations.
+The only field a rehydrated result loses is the live ``telemetry`` sink
+(cached runs record no spans).
 
 Failure formatting lives here too: :func:`format_failure` trims the
 traceback to the frames at or below :func:`execute_job`, so a failure
@@ -28,9 +30,11 @@ part of the ``--jobs N == serial`` guarantee.
 from __future__ import annotations
 
 import traceback as traceback_module
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Optional, Union
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
+from ..controlplane import Decision
+from ..hivemind.run import RunResult
 from .fingerprint import (
     FINGERPRINT_VERSION,
     calibration_digest,
@@ -247,47 +251,68 @@ def execute_job(job: Job):
 
 # -- result (de)serialization -----------------------------------------------
 
-_EXPERIMENT_SCALARS = (
-    "key", "model", "target_batch_size", "num_gpus", "throughput_sps",
-    "local_throughput_sps", "granularity", "calc_s", "matchmaking_s",
-    "transfer_s", "hourly_cost_usd", "usd_per_million_samples",
-    "baseline_sps",
-)
+def _field_codec(annotation) -> tuple[Callable, Callable]:
+    """``(encode, decode)`` between a value of ``annotation`` and JSON.
 
-_RUN_SCALARS = (
-    "duration_s", "averaging_bytes", "monitor_samples", "interruptions",
-    "state_syncs", "peak_active_flows", "rounds_retried", "degraded_epochs",
-    "transfers_aborted",
+    Scalars pass through and containers are copied. Tuples travel as
+    lists, a dict keyed by tuples as ``[*key, value]`` rows, and a
+    dataclass (whose fields are all scalars here) as its field dict.
+    """
+    origin, args = get_origin(annotation), get_args(annotation)
+    if is_dataclass(annotation):
+        names = [field.name for field in fields(annotation)]
+        return ((lambda value: {name: getattr(value, name) for name in names}),
+                (lambda doc: annotation(**doc)))
+    if origin is tuple:
+        return list, tuple
+    if origin is list:
+        encode, decode = _field_codec(args[0])
+        if encode is _identity:
+            return list, list
+        return ((lambda items: [encode(item) for item in items]),
+                (lambda items: [decode(item) for item in items]))
+    if origin is dict:
+        key_type, value_type = args
+        encode, decode = _field_codec(value_type)
+        if get_origin(key_type) is tuple:
+            return ((lambda mapping: [[*key, encode(value)]
+                                      for key, value in mapping.items()]),
+                    (lambda rows: {tuple(row[:-1]): decode(row[-1])
+                                   for row in rows}))
+        if encode is _identity:
+            return dict, dict
+        return ((lambda mapping: {key: encode(value)
+                                  for key, value in mapping.items()}),
+                (lambda mapping: {key: decode(value)
+                                  for key, value in mapping.items()}))
+    return _identity, _identity
+
+
+def _identity(value):
+    return value
+
+
+#: ``(name, encode, decode)`` for every cached ``RunResult`` field,
+#: derived from the dataclass so a new field is cached without edits
+#: here. ``config`` is rebuilt from the job instead, and the live
+#: ``telemetry`` sink is not cached.
+_RUN_HINTS = get_type_hints(RunResult, localns={"Decision": Decision})
+_RUN_CODEC = tuple(
+    (field.name, *_field_codec(_RUN_HINTS[field.name]))
+    for field in fields(RunResult)
+    if field.name not in ("config", "telemetry")
 )
 
 
 def _run_to_payload(run) -> dict:
-    payload = {name: getattr(run, name) for name in _RUN_SCALARS}
-    payload.update({
-        "epochs": [asdict(epoch) for epoch in run.epochs],
-        "egress_bytes_by_class": dict(run.egress_bytes_by_class),
-        "egress_bytes_by_site": dict(run.egress_bytes_by_site),
-        "egress_bytes_by_pair": [
-            [src, dst, nbytes]
-            for (src, dst), nbytes in run.egress_bytes_by_pair.items()
-        ],
-        "data_ingress_bytes_by_site": dict(run.data_ingress_bytes_by_site),
-        "losses": list(run.losses),
-        "metrics": [asdict(sample) for sample in run.metrics],
-        "fault_counts": dict(run.fault_counts),
-        "uptime_intervals_by_site": {
-            site: [[start, end] for start, end in intervals]
-            for site, intervals in run.uptime_intervals_by_site.items()
-        },
-        "decisions": [asdict(decision) for decision in run.decisions],
-        "control_actions": dict(run.control_actions),
-    })
-    return payload
+    return {name: encode(getattr(run, name))
+            for name, encode, __ in _RUN_CODEC}
 
 
 def result_to_record(job: Job, result) -> dict:
     """Serialize an ``ExperimentResult`` into a cacheable JSON record."""
-    doc = {name: getattr(result, name) for name in _EXPERIMENT_SCALARS}
+    doc = {field.name: getattr(result, field.name)
+           for field in fields(result) if field.name != "run"}
     # Baselines carry granularity == inf, which strict JSON rejects.
     if doc["granularity"] == float("inf"):
         doc["granularity"] = "inf"
@@ -301,41 +326,17 @@ def result_to_record(job: Job, result) -> dict:
 
 
 def _run_from_payload(job: ExperimentJob, payload: dict):
-    from ..controlplane import Decision
     from ..experiments.configs import build_run_config
-    from ..hivemind.run import EpochStats, MetricSample, RunResult
 
     config = build_run_config(
         job.key, job.model, job.target_batch_size, job.epochs,
         **job.revived_overrides(),
     )
+    # A field missing from an older record takes its dataclass default.
     return RunResult(
-        uptime_intervals_by_site={
-            site: [(start, end) for start, end in intervals]
-            for site, intervals in payload.get(
-                "uptime_intervals_by_site", {}
-            ).items()
-        },
-        decisions=[
-            Decision(**doc) for doc in payload.get("decisions", [])
-        ],
-        control_actions=dict(payload.get("control_actions", {})),
         config=config,
-        epochs=[EpochStats(**epoch) for epoch in payload["epochs"]],
-        egress_bytes_by_class=dict(payload["egress_bytes_by_class"]),
-        egress_bytes_by_site=dict(payload["egress_bytes_by_site"]),
-        egress_bytes_by_pair={
-            (src, dst): nbytes
-            for src, dst, nbytes in payload["egress_bytes_by_pair"]
-        },
-        data_ingress_bytes_by_site=dict(
-            payload["data_ingress_bytes_by_site"]
-        ),
-        losses=list(payload["losses"]),
-        metrics=[MetricSample(**sample) for sample in payload["metrics"]],
-        fault_counts=dict(payload["fault_counts"]),
-        telemetry=None,
-        **{name: payload[name] for name in _RUN_SCALARS},
+        **{name: decode(payload[name]) for name, __, decode in _RUN_CODEC
+           if name in payload},
     )
 
 

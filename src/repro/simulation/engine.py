@@ -206,7 +206,6 @@ class Process(Event):
         self.env._queue_event(interrupt_event)
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         self._target = None
         try:
             if event._ok:
@@ -224,7 +223,6 @@ class Process(Event):
                     tel.on_process_finish(self, ok=True)
                 else:
                     tel.processes_finished += 1
-            self.env._active_process = None
             return
         except BaseException as error:
             self._ok = False
@@ -237,10 +235,7 @@ class Process(Event):
                 else:
                     tel.processes_finished += 1
                     tel.processes_failed += 1
-            self.env._active_process = None
             return
-        finally:
-            self.env._active_process = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(
@@ -342,7 +337,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         #: Optional telemetry sink (duck-typed; see module docstring).
         self._telemetry = telemetry
         if telemetry is not None:
@@ -355,10 +349,6 @@ class Environment:
     @property
     def telemetry(self):
         return self._telemetry
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event factories -------------------------------------------------
 

@@ -136,10 +136,6 @@ class Tracer:
     def now(self) -> float:
         return self._clock()
 
-    @property
-    def run_index(self) -> int:
-        return self._run
-
     # -- recording ---------------------------------------------------------
 
     def span(self, name: str, category: str = "", track: str = "main",

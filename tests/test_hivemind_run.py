@@ -1,7 +1,16 @@
 """Integration tests for full simulated Hivemind training runs."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.cloud import InterruptionModel
 from repro.hivemind import (
@@ -283,6 +292,61 @@ class TestStateSync:
     def test_no_syncs_without_interruptions(self):
         result = run_hivemind(make_config(counts={"gc:us": 2}, epochs=2))
         assert result.state_syncs == 0
+
+
+#: A spot hazard high enough that peers of one zone are preempted and
+#: revived many times in 30 epochs, so syncs meet RTT-tied donors.
+CHURN_HAZARD = dict(monthly_rate=0.99, diurnal_amplitude=1.0)
+
+_PAIR_DIGEST_SCRIPT = """
+import hashlib, json
+from repro.cloud import InterruptionModel
+from repro.hivemind import HivemindRunConfig, PeerSpec, run_hivemind
+from repro.network import build_topology
+
+run = run_hivemind(HivemindRunConfig(
+    model="conv", peers=[PeerSpec(f"gc:us/{i}", "t4") for i in range(4)],
+    topology=build_topology({"gc:us": 4}), epochs=30, seed=1,
+    interruption_model=InterruptionModel(**%r), startup_s=10))
+pairs = sorted([*pair, nbytes] for pair, nbytes in
+               run.egress_bytes_by_pair.items())
+print(run.state_syncs, hashlib.sha256(json.dumps(pairs).encode()).hexdigest())
+"""
+
+
+class TestMembership:
+    def test_donor_choice_does_not_depend_on_hash_seed(self):
+        """Four peers in one zone tie on RTT; the donor of each state
+        sync must not follow a set's hash order."""
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [source_root, env.get("PYTHONPATH")]))
+            completed = subprocess.run(
+                [sys.executable, "-c", _PAIR_DIGEST_SCRIPT % CHURN_HAZARD],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(completed.stdout)
+        [output] = outputs
+        assert int(output.split()[0]) > 0  # the run did sync state
+
+    def test_standby_peer_never_trains_without_a_policy(self):
+        config = HivemindRunConfig(
+            model="conv",
+            peers=[PeerSpec("gc:us/0", "t4"), PeerSpec("gc:us/1", "t4")],
+            standby_peers=(PeerSpec("gc:us/2", "t4"),),
+            topology=build_topology({"gc:us": 3}),
+            epochs=30, seed=1, startup_s=10,
+            interruption_model=InterruptionModel(**CHURN_HAZARD),
+            monitor_interval_s=None, account_data_loading=False,
+        )
+        result = run_hivemind(config)
+        assert result.interruptions > 0
+        assert max(epoch.live_peers for epoch in result.epochs) <= 2
+        assert "gc:us/2" not in {dst for __, dst
+                                 in result.egress_bytes_by_pair}
 
 
 class TestMetricsTimeline:

@@ -7,6 +7,7 @@ registry that keeps figure generation covered by the parallel path.
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -317,6 +318,13 @@ def _slow_echo_worker(wire):
     return {"ok": True, "record": wire}
 
 
+def _pid_then_sleep_worker(wire):
+    with open(wire["pid_file"], "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(30)
+    return {"ok": True, "record": wire}
+
+
 def _dying_worker(wire):
     os._exit(3)
 
@@ -344,6 +352,22 @@ class TestExecutor:
         assert failure["kind"] == "timeout"
         assert failure["error_type"] == "TimeoutError"
         assert failure["attempts"] == 1
+
+    def test_timeout_kills_the_worker(self, tmp_path):
+        pid_file = tmp_path / "worker.pid"
+        [outcome] = run_wire_jobs([{"pid_file": str(pid_file)}],
+                                  max_workers=1,
+                                  worker=_pid_then_sleep_worker,
+                                  timeout_s=1.0, retries=0)
+        assert outcome["failure"]["kind"] == "timeout"
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 10.0
+        # active_children() reaps exited workers, so a killed one drops
+        # out of the list instead of lingering as a zombie.
+        while any(child.pid == pid
+                  for child in multiprocessing.active_children()):
+            assert time.monotonic() < deadline, "timed-out worker survived"
+            time.sleep(0.05)
 
     def test_broken_pool_retries_then_fails(self):
         outcomes = run_wire_jobs([{"i": 0}], max_workers=1,
