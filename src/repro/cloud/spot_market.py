@@ -68,11 +68,10 @@ def integrate_price_usd(
 ) -> float:
     """Dollars billed at the hourly spot price over uptime ``intervals``.
 
-    Billing follows the broker's accrual convention: the price is
-    sampled at the start of each (possibly partial) ``step_s`` billing
-    step, matching "spot prices change hourly" (Section 2.2). The
-    integral is a pure function of the model and the intervals, so
-    identically-seeded runs bill identically.
+    The price is sampled at the start of each (possibly partial)
+    ``step_s`` billing step, matching "spot prices change hourly"
+    (Section 2.2). The integral is a pure function of the model and the
+    intervals, so identically-seeded runs bill identically.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")

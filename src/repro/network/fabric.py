@@ -219,7 +219,10 @@ class Fabric:
         self._flow_children: dict[tuple[str, str, Optional[str]], tuple] = {}
         self._flow_seconds_child = None
         self._track_names: dict[str, str] = {}
-        self._flows: set[Flow] = set()
+        #: Active flows in admission order (a dict used as an ordered
+        #: set): flows that finish at the same instant complete in this
+        #: order, independent of where they sit in memory.
+        self._flows: dict[Flow, None] = {}
         self._flow_ids = itertools.count()
         self._last_update = env.now
         self._generation = 0
@@ -480,7 +483,7 @@ class Fabric:
 
     def _register_flow(self, flow: Flow) -> None:
         """Add a flow to the active set and its resources' member sets."""
-        self._flows.add(flow)
+        self._flows[flow] = None
         if len(self._flows) > self.peak_active_flows:
             self.peak_active_flows = len(self._flows)
         resources = self._resources
@@ -492,7 +495,7 @@ class Fabric:
 
     def _unregister_flow(self, flow: Flow) -> None:
         """Remove a finished flow from the active set and its resources."""
-        self._flows.discard(flow)
+        self._flows.pop(flow, None)
         resources = self._resources
         for rid in flow.resource_ids:
             state = resources.get(rid)

@@ -12,10 +12,11 @@ through it, so caching and parallelism are implemented once:
 * :meth:`map` runs many jobs, resolving hits first and fanning the
   misses out over a process pool when ``jobs > 1``; outcomes come back
   in input order, and failures are returned as records, not raised;
-* :meth:`prefetch` is :meth:`map` for its warming side effect: figure
-  generators stay simple serial loops, and ``--jobs N`` parallelism
-  comes from warming the memo with the figure's known point list
-  first.
+* :meth:`prefetch` is :meth:`map` for its warming side effect: each
+  report builds its run list once and, when ``jobs > 1``, prefetches
+  it before requesting the points one by one through
+  :meth:`experiment` / :meth:`baseline`, so the row building stays
+  serial and ``--jobs N`` parallelism comes from the warm memo.
 
 The ambient orchestrator (:func:`use_orchestrator` /
 :func:`current_orchestrator`) lets the figure code find the active

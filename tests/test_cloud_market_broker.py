@@ -1,19 +1,9 @@
-"""Tests for spot price dynamics, the intercloud broker, and carbon."""
+"""Tests for diurnal spot price dynamics."""
 
 import numpy as np
 import pytest
 
-from repro.cloud import (
-    BrokeredFleet,
-    InterruptionModel,
-    SpotPriceModel,
-    ZoneOffer,
-    emissions_per_million_samples,
-    get_instance_type,
-    price_series,
-    run_emissions_kg,
-)
-from repro.simulation import Environment
+from repro.cloud import SpotPriceModel, price_series
 
 HOUR = 3600.0
 DAY = 24 * HOUR
@@ -55,119 +45,3 @@ class TestSpotPriceModel:
         with pytest.raises(ValueError):
             price_series(SpotPriceModel(1.0, 0.5), 10.0, 5.0)
 
-
-def make_offers(flaky_rate=0.9999, stable_rate=0.05):
-    t4 = get_instance_type("gc-t4")
-    cheap_flaky = ZoneOffer(
-        location="gc:us",
-        instance_type=t4,
-        price_model=SpotPriceModel(0.572, mean_discount=0.75, swing=0.0),
-        interruption_model=InterruptionModel(monthly_rate=flaky_rate,
-                                             diurnal_amplitude=1.0),
-    )
-    pricier_stable = ZoneOffer(
-        location="gc:eu",
-        instance_type=t4,
-        price_model=SpotPriceModel(0.572, mean_discount=0.60, swing=0.0),
-        interruption_model=InterruptionModel(monthly_rate=stable_rate,
-                                             diurnal_amplitude=1.0),
-    )
-    return [cheap_flaky, pricier_stable]
-
-
-class TestBrokeredFleet:
-    def test_initial_placement_picks_cheapest_effective(self):
-        env = Environment()
-        offers = make_offers(flaky_rate=0.10, stable_rate=0.10)
-        fleet = BrokeredFleet(env, np.random.default_rng(0), offers, n_vms=2)
-        env.run(until=1.0)
-        # Equal reliability -> deeper discount (gc:us) wins.
-        assert all(p.location == "gc:us" for p in fleet.placements)
-
-    def test_reliability_adjustment_flips_the_choice(self):
-        env = Environment()
-        # gc:us is nominally cheaper but terminates almost surely.
-        offers = make_offers(flaky_rate=0.80, stable_rate=0.01)
-        fleet = BrokeredFleet(env, np.random.default_rng(0), offers, n_vms=1)
-        ranked = fleet.rank_offers(0.0)
-        assert ranked[0][0] == "gc:eu"
-
-    def test_preempted_vms_migrate_and_blacklist(self):
-        env = Environment()
-        offers = make_offers(flaky_rate=0.7, stable_rate=0.0)
-        # Deep discount keeps the flaky zone attractive even after the
-        # reliability adjustment — until preemptions blacklist it.
-        offers[0] = ZoneOffer(
-            location=offers[0].location,
-            instance_type=offers[0].instance_type,
-            price_model=SpotPriceModel(0.572, mean_discount=0.95, swing=0.0),
-            interruption_model=InterruptionModel(monthly_rate=0.7,
-                                                 diurnal_amplitude=1.0),
-        )
-        fleet = BrokeredFleet(env, np.random.default_rng(1), offers,
-                              n_vms=2, preemption_threshold=3)
-        env.run(until=180 * DAY)
-        assert fleet.migrations >= 1
-        # After enough preemptions the flaky zone is blacklisted and the
-        # fleet settles in the stable one.
-        assert "gc:us" in fleet.blacklist
-        last_locations = {
-            p.location for p in fleet.placements[-2:]
-        }
-        assert last_locations == {"gc:eu"}
-
-    def test_cost_accrues(self):
-        env = Environment()
-        offers = make_offers(flaky_rate=0.9, stable_rate=0.0)
-        fleet = BrokeredFleet(env, np.random.default_rng(2), offers, n_vms=2)
-        env.run(until=30 * DAY)
-        fleet.finalize()
-        assert fleet.cost_usd > 0
-        price = fleet.average_price_per_h()
-        assert 0.10 < price < 0.572  # between deepest discount & on-demand
-
-    def test_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            BrokeredFleet(env, np.random.default_rng(0), [], n_vms=1)
-        with pytest.raises(ValueError):
-            BrokeredFleet(env, np.random.default_rng(0), make_offers(),
-                          n_vms=0)
-
-
-class TestCarbon:
-    def _run(self, counts):
-        from repro.hivemind import HivemindRunConfig, PeerSpec, run_hivemind
-        from repro.network import build_topology
-
-        topology = build_topology(counts)
-        peers = [PeerSpec(f"{loc}/{i}", "t4")
-                 for loc, n in counts.items() for i in range(n)]
-        return run_hivemind(HivemindRunConfig(
-            model="conv", peers=peers, topology=topology, epochs=2,
-            monitor_interval_s=None, account_data_loading=False,
-        ))
-
-    def test_emissions_positive_and_scale_with_fleet(self):
-        small = self._run({"gc:us": 2})
-        large = self._run({"gc:us": 8})
-        assert run_emissions_kg(small) > 0
-        # Same workload on more VMs for less time: energy within 2x.
-        ratio = run_emissions_kg(large) / run_emissions_kg(small)
-        assert 0.5 < ratio < 2.5
-
-    def test_clean_grid_emits_less(self):
-        """Belgium's grid (~160 g/kWh) beats Sydney's (~660 g/kWh)."""
-        eu = self._run({"gc:eu": 2})
-        aus = self._run({"gc:aus": 2})
-        eu_rate = emissions_per_million_samples(eu)
-        aus_rate = emissions_per_million_samples(aus)
-        assert eu_rate < 0.5 * aus_rate
-
-    def test_unknown_region_raises(self):
-        result = self._run({"gc:us": 2})
-        result.config.peers[0] = type(result.config.peers[0])(
-            site="mars:zone/0", gpu="t4"
-        )
-        with pytest.raises(KeyError):
-            run_emissions_kg(result)

@@ -239,3 +239,26 @@ def test_negative_jitter_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         Fabric(env, topo, jitter=-0.1)
+
+
+def test_simultaneous_completions_follow_admission_order():
+    # Equal transfers on disjoint pairs all finish at one instant; they
+    # must complete in the order they were started, not in whatever
+    # order their addresses hash to.
+    pairs = 48
+    topo = Topology()
+    for index in range(2 * pairs):
+        topo.add_site(
+            Site(name=f"s{index}", provider="gc", zone="z", region="r",
+                 continent="US", tcp_window_bytes=64e6, nic_bps=GBPS)
+        )
+    env = Environment()
+    fabric = Fabric(env, topo)
+    finished = []
+    events = []
+    for index in range(pairs):
+        done = fabric.transfer(f"s{2 * index}", f"s{2 * index + 1}", 125e6)
+        done.callbacks.append(lambda __, index=index: finished.append(index))
+        events.append(done)
+    env.run(env.all_of(events))
+    assert finished == list(range(pairs))

@@ -3,7 +3,7 @@
 Covers the content-addressed fingerprint/cache layer, the process-pool
 executor (timeouts, broken pools, retries), the serial == ``--jobs N``
 byte-identity guarantee (fault schedules included), and the prefetch
-registry that keeps figure generation covered by the parallel path.
+coverage of every report's run list under the parallel path.
 """
 
 import json
@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.experiments import SweepGrid, run_sweep
+from repro.experiments import SweepGrid, generate, report_keys, run_sweep
 from repro.experiments.resilience import chaos_schedule_for
 from repro.orchestrator import (
     BaselineJob,
@@ -391,22 +391,49 @@ class TestExecutor:
 
 
 # ---------------------------------------------------------------------------
-# figure prefetch registry
+# report run lists: prefetch coverage
 # ---------------------------------------------------------------------------
 
-class TestReportPoints:
-    @pytest.mark.parametrize("key", ["fig17", "fig10"])
-    def test_prefetch_covers_figure_body(self, key):
-        from repro.experiments.figures import REPORT_POINTS, generate
+class _PrefetchRecorder(Orchestrator):
+    """A ``jobs=2`` orchestrator whose batches resolve inline.
 
-        points = REPORT_POINTS[key](2)
-        unique = {job_key(job) for job in points}
-        orch = Orchestrator(jobs=2)
+    Records every prefetched key and every point the report body then
+    requests that no earlier prefetch covered.
+    """
+
+    def __init__(self):
+        super().__init__(jobs=2)
+        self.prefetched: set[str] = set()
+        self.failed = 0
+        self.uncovered: list[str] = []
+
+    def map(self, jobs, progress=None):
+        self.prefetched.update(job_key(job) for job in jobs)
+        self.jobs = 1
+        try:
+            outcomes = super().map(jobs, progress)
+        finally:
+            self.jobs = 2
+        self.failed += sum(not outcome.ok for outcome in outcomes)
+        return outcomes
+
+    def _run_one(self, job):
+        if job_key(job) not in self.prefetched:
+            self.uncovered.append(job.label)
+        return super()._run_one(job)
+
+
+class TestReportPoints:
+    @pytest.mark.parametrize("key", report_keys())
+    def test_prefetch_covers_figure_body(self, key):
+        orch = _PrefetchRecorder()
         report = generate(key, epochs=2, orchestrator=orch)
-        # The warm-up executed every unique point once; the figure body
-        # then ran entirely from the memo.
-        assert orch.executed == len(unique)
         assert report.rows
+        assert orch.uncovered == []
+        # Each unique point executed once, in the prefetch; the body ran
+        # from the memo except for failed points (fig15's 4xT4 OOM),
+        # which it re-executes to surface the error in place.
+        assert orch.executed == len(orch.prefetched) + orch.failed
 
 
 # ---------------------------------------------------------------------------
