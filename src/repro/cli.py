@@ -12,7 +12,6 @@ Usage::
     repro control                   # list control-plane policies
     repro advise conv gc:us=8       # planner advice for a setup
     repro validate                  # paper-fidelity scorecard
-    repro bench --quick             # curated perf suite (CI regression gate)
     repro chaos B-8 --intensity 1.0 # fault-injected run (deterministic)
     repro chaos B-8 --sweep 0.5,1,2 # fault intensity -> penalty sweep
     repro sweep --models conv --experiments A-2,A-4 --jobs 4
@@ -226,33 +225,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(f"open {trace_path} in https://ui.perfetto.dev or "
           "chrome://tracing to inspect the timeline")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        check_regression,
-        load_bench,
-        render_bench,
-        run_bench,
-        write_bench,
-    )
-
-    suites = args.suites.split(",") if args.suites else None
-    result = run_bench(quick=args.quick, epochs=args.epochs,
-                       repeats=args.repeats, suites=suites)
-    print(render_bench(result))
-    if args.output:
-        write_bench(result, args.output)
-        print(f"wrote {args.output}")
-    if args.check:
-        failures = check_regression(result, load_bench(args.check),
-                                    tolerance=args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"ok: within {args.tolerance * 100:.0f}% of {args.check}")
     return 0
 
 
@@ -513,28 +485,6 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("--metrics",
                        help="also write the Prometheus metrics dump")
     trace.set_defaults(func=_cmd_trace)
-
-    bench = sub.add_parser(
-        "bench", help="run the curated performance benchmark suite"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced run matrix (what the CI bench job runs)")
-    bench.add_argument("--epochs", type=int, default=None,
-                       help="hivemind epochs per run (default 4)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="wall time is the best of this many passes "
-                            "(default 3, quick 2)")
-    bench.add_argument("--suites",
-                       help="comma-separated suite names (default all)")
-    bench.add_argument("--output",
-                       help="write the consolidated BENCH json here")
-    bench.add_argument("--check", metavar="BASELINE",
-                       help="compare against a baseline BENCH json and exit "
-                            "non-zero on regression")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       help="allowed normalized wall-time increase "
-                            "(fraction, default 0.20)")
-    bench.set_defaults(func=_cmd_bench)
 
     chaos = sub.add_parser(
         "chaos",

@@ -43,7 +43,7 @@ class Prediction:
         return self.calc_s + self.comm_s
 
 
-def _intra_stage_s(
+def _intra_group_s(
     topology: Topology,
     group: tuple[str, ...],
     payload_bytes: float,
@@ -69,7 +69,7 @@ def _intra_stage_s(
     return worst
 
 
-def _hub_stage_s(
+def _hub_exchange_s(
     topology: Topology,
     groups: list[tuple[str, ...]],
     hub: tuple[str, ...],
@@ -151,11 +151,11 @@ def predict(
     groups = list(plan.groups)
     hub = plan.hub
     transfer_s = 2.0 * max(
-        (_intra_stage_s(topology, group, payload, caps) for group in groups),
+        (_intra_group_s(topology, group, payload, caps) for group in groups),
         default=0.0,
     )
     if len(groups) > 1:
-        transfer_s += _hub_stage_s(topology, groups, hub, payload, caps)
+        transfer_s += _hub_exchange_s(topology, groups, hub, payload, caps)
     matchmaking_s = min_matchmaking_s
     if calc_s < min_matchmaking_s:
         # Expected value of the instability penalty (uniform up to one

@@ -172,70 +172,17 @@ class MoshpitAverager:
     def run_round(self, contributions: list[Contribution]):
         """Simulation process performing one full averaging round.
 
-        Without a :attr:`fault_tolerance` policy this is the legacy
-        all-or-nothing round. With one, the round runs under a
-        deadline, aborts in-flight transfers on timeout or peer loss,
-        re-forms groups from survivors with exponential backoff, and
-        finally degrades to a partial average.
+        Without a :attr:`fault_tolerance` policy this is one
+        all-or-nothing attempt, run inline with no deadline. With one,
+        each attempt runs under a deadline, aborts in-flight transfers
+        on timeout or peer loss, re-forms groups from survivors with
+        exponential backoff, and finally degrades to a partial average.
         """
         if not contributions:
             raise ValueError("averaging round needs at least one contribution")
         if self.fault_tolerance is None:
-            return (yield from self._run_round_once(contributions))
+            return (yield from self._attempt_round(contributions))
         return (yield from self._run_round_resilient(contributions))
-
-    def _run_round_once(self, contributions: list[Contribution]):
-        start = self.env.now
-        present = {c.site for c in contributions}
-        groups, hub = self._plan_for(present)
-        stage_times: dict[str, float] = {}
-        tel = self.telemetry
-
-        with tel.span("averaging_round", category="transfer",
-                      track="averager", peers=len(present)):
-            # Stage 1: intra-group reduce-scatter.
-            stage_start = self.env.now
-            with tel.span("reduce_scatter", category="transfer",
-                          track="averager"):
-                yield from self._intra_stage(groups)
-            stage_times["reduce_scatter"] = self.env.now - stage_start
-
-            # Stage 2: hub exchange across groups. Gather and scatter are
-            # pipelined over the full-duplex links (chunks of the reduced
-            # gradient flow back while later chunks still flow in), so both
-            # directions run concurrently.
-            stage_start = self.env.now
-            if len(groups) > 1:
-                with tel.span("hub_exchange", category="transfer",
-                              track="averager"):
-                    yield from self._hub_stage(groups, hub)
-            stage_times["hub_exchange"] = self.env.now - stage_start
-
-            # Stage 3: intra-group all-gather.
-            stage_start = self.env.now
-            with tel.span("all_gather", category="transfer",
-                          track="averager"):
-                yield from self._intra_stage(groups)
-            stage_times["all_gather"] = self.env.now - stage_start
-
-        average = self._numeric_average(contributions)
-        total = sum(c.sample_count for c in contributions)
-        wall = self.env.now - start
-        bytes_sent = self._round_bytes(groups, hub)
-        if tel.enabled:
-            tel.counter("averaging_rounds_total",
-                        "Moshpit averaging rounds completed").inc()
-            tel.histogram("averaging_round_seconds",
-                          "Wall time of each averaging round").observe(wall)
-            tel.counter("averaging_bytes_total",
-                        "Bytes shipped by the averager").inc(bytes_sent)
-        return AveragingResult(
-            average=average,
-            total_samples=total,
-            wall_time_s=wall,
-            stage_times_s=stage_times,
-            bytes_sent=bytes_sent,
-        )
 
     # -- fault-tolerant round ----------------------------------------------
 
@@ -323,10 +270,15 @@ class MoshpitAverager:
             )
 
     def _attempt_round(self, contributions: list[Contribution],
-                       attempt_index: int):
-        """One deadline-bounded attempt; returns an
+                       attempt_index: Optional[int] = None):
+        """One attempt at the three-stage round; returns an
         :class:`AveragingResult` or ``None`` when interrupted (in which
-        case all in-flight transfers are aborted on the way out)."""
+        case all in-flight transfers are aborted on the way out).
+
+        ``attempt_index`` is set only by the fault-tolerant round, and
+        only then tags the ``averaging_round`` span with ``attempt=``.
+        """
+        attempt = {} if attempt_index is None else {"attempt": attempt_index}
         env = self.env
         tel = self.telemetry
         start = env.now
@@ -341,8 +293,7 @@ class MoshpitAverager:
         gate: list[Optional[Event]] = [None]
         try:
             with tel.span("averaging_round", category="transfer",
-                          track="averager", peers=len(present),
-                          attempt=attempt_index):
+                          track="averager", peers=len(present), **attempt):
                 stage_start = env.now
                 with tel.span("reduce_scatter", category="transfer",
                               track="averager"):
@@ -469,16 +420,6 @@ class MoshpitAverager:
                 transfers.append(self._send(src, dst, chunk))
                 transfers.append(self._send(dst, src, chunk))
         return transfers
-
-    def _intra_stage(self, groups: list[tuple[str, ...]]):
-        transfers = self._intra_transfers(groups)
-        if transfers:
-            yield self.env.all_of(transfers)
-
-    def _hub_stage(self, groups, hub):
-        transfers = self._hub_transfers(groups, hub)
-        if transfers:
-            yield self.env.all_of(transfers)
 
     def _round_bytes(self, groups, hub) -> float:
         total = 0.0

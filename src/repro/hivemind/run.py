@@ -203,13 +203,15 @@ class RunResult:
     egress_bytes_by_class: dict[str, float]
     egress_bytes_by_site: dict[str, float]
     egress_bytes_by_pair: dict[tuple[str, str], float]
+    #: Bytes the averager sent (``averaging``-tagged fabric flows);
+    #: state syncs and DHT RPCs are metered but not counted here.
     averaging_bytes: float
     data_ingress_bytes_by_site: dict[str, float]
     monitor_samples: int = 0
     interruptions: int = 0
     state_syncs: int = 0
-    #: High-water mark of concurrent fabric flows during the run
-    #: (reported by ``repro bench`` as a fan-out size proxy).
+    #: High-water mark of concurrent fabric flows during the run, a
+    #: fan-out size proxy.
     peak_active_flows: int = 0
     losses: list[float] = field(default_factory=list)
     metrics: list[MetricSample] = field(default_factory=list)
@@ -851,7 +853,7 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         egress_bytes_by_class=dict(fabric.meter.by_class),
         egress_bytes_by_site=dict(fabric.meter.egress_by_site),
         egress_bytes_by_pair=dict(fabric.meter.by_pair),
-        averaging_bytes=sum(fabric.meter.by_pair.values()),
+        averaging_bytes=fabric.meter.by_tag["averaging"],
         data_ingress_bytes_by_site={
             site: link.bill.ingress_bytes for site, link in links.items()
         },

@@ -83,8 +83,8 @@ class Flow:
     #: Shared-resource ids this flow occupies, resolved once at
     #: creation (the fabric interns the tuple per (src, dst, channels)).
     resource_ids: tuple[str, ...] = ()
-    #: Set by :meth:`Fabric.abort`; admission and the debug generator
-    #: path check it so a flow cancelled mid-propagation never starts.
+    #: Set by :meth:`Fabric.abort`; admission checks it so a flow
+    #: cancelled mid-propagation never starts.
     aborted: bool = False
     # Working state of the progressive-filling pass (_assign_rates).
     _fill_headroom: float = field(default=0.0, init=False, repr=False)
@@ -110,17 +110,23 @@ class TrafficMeter:
     def __init__(self):
         self.by_pair: dict[tuple[str, str], float] = defaultdict(float)
         self.by_class: dict[str, float] = defaultdict(float)
+        #: Bytes per transfer tag (``averaging``, ``sync``, ``dht``, ...);
+        #: untagged transfers count under ``None``.
+        self.by_tag: dict[Optional[str], float] = defaultdict(float)
         #: Egress bytes leaving each site, keyed by site name.
         self.egress_by_site: dict[str, float] = defaultdict(float)
         # Traffic classification is a pure function of the (immutable)
         # site pair; memoised because record() runs once per transfer.
         self._class_memo: dict[tuple[str, str], str] = {}
 
-    def record(self, src: Site, dst: Site, nbytes: float) -> None:
+    def record(
+        self, src: Site, dst: Site, nbytes: float, tag: Optional[str] = None
+    ) -> None:
         if nbytes <= 0:
             return
         pair = (src.name, dst.name)
         self.by_pair[pair] += nbytes
+        self.by_tag[tag] += nbytes
         klass = self._class_memo.get(pair)
         if klass is None:
             klass = self._class_memo[pair] = classify_traffic(src, dst)
@@ -134,6 +140,7 @@ class TrafficMeter:
     def reset(self) -> None:
         self.by_pair.clear()
         self.by_class.clear()
+        self.by_tag.clear()
         self.egress_by_site.clear()
 
 
@@ -241,7 +248,7 @@ class Fabric:
         self._rid_cache: dict[tuple, tuple] = {}
         #: True while a coalesced refill is scheduled for this instant.
         self._refill_pending = False
-        #: High-water mark of concurrent flows (reported by `repro bench`).
+        #: High-water mark of concurrent flows (``RunResult.peak_active_flows``).
         self.peak_active_flows = 0
         #: Completion event -> flow, so :meth:`abort` can cancel a
         #: transfer given only the event :meth:`transfer` returned.
@@ -321,15 +328,9 @@ class Fabric:
             )
         env = self.env
         tel = env._telemetry
-        if tel is not None and tel.capture_processes:
-            # Debug mode: keep the generator process so each flow shows
-            # up as a span on the ``sim:processes`` track.
-            env.process(self._run_flow(flow, propagation=propagation))
-            return done
-        # Fast path: admit the flow via a bare timer callback — same
-        # simulated times and the same logical process tally, but no
-        # generator, no ``_Initialize`` event, and no process-completion
-        # event per flow.
+        # Admit the flow via a bare timer callback: no generator, no
+        # ``_Initialize`` event and no process-completion event per
+        # flow, but each flow still counts as one logical process.
         if tel is not None:
             tel.processes_spawned += 1
         if propagation > 0:
@@ -393,15 +394,14 @@ class Fabric:
             self._mark_dirty()
         delivered = flow.total_bytes - flow.remaining_bytes
         if delivered > 0:
-            self.meter.record(flow.src, flow.dst, delivered)
+            self.meter.record(flow.src, flow.dst, delivered, flow.tag)
         if self._tracer is not None and flow.span is not None:
             self._tracer.finish(flow.span)
         self.aborted_flows += 1
         self._aborts_counter.inc()
         tel = self.env._telemetry
-        if tel is not None and not tel.capture_processes:
-            # Close out the fast admission path's logical flow process
-            # (the generator path tallies via the Process class).
+        if tel is not None:
+            # Close out the flow's logical process.
             tel.processes_finished += 1
         done.fail(TransferAborted(flow, reason))
         done.defused = True
@@ -422,7 +422,7 @@ class Fabric:
     def _finish_flow(self, flow: Flow) -> None:
         """Meter a delivered flow and fire its completion event."""
         self._event_flows.pop(flow.done, None)
-        self.meter.record(flow.src, flow.dst, flow.total_bytes)
+        self.meter.record(flow.src, flow.dst, flow.total_bytes, flow.tag)
         if self._tracer is not None:
             # One cache lookup per flow: (src, dst, tag) resolves the
             # traffic class and both bound counter children at once.
@@ -448,14 +448,13 @@ class Fabric:
             if flow.span is not None:
                 self._tracer.finish(flow.span)
         tel = self.env._telemetry
-        if tel is not None and not tel.capture_processes:
-            # Close out the logical flow process of the fast admission
-            # path (the generator path tallies via the Process class).
+        if tel is not None:
+            # Close out the flow's logical process.
             tel.processes_finished += 1
         flow.done.succeed(flow)
 
     def _admit_flow(self, flow: Flow) -> None:
-        """Fast-path flow admission after propagation delay."""
+        """Admit a flow once its propagation delay has passed."""
         if flow.aborted:
             return
         if flow.remaining_bytes <= 0:
@@ -464,22 +463,6 @@ class Fabric:
         self._advance_clock()
         self._register_flow(flow)
         self._mark_dirty()
-
-    def _run_flow(self, flow: Flow, propagation: float):
-        if propagation > 0:
-            yield self.env.timeout(propagation)
-        if flow.aborted:
-            return
-        if flow.remaining_bytes <= 0:
-            self._finish_flow(flow)
-            return
-        self._advance_clock()
-        self._register_flow(flow)
-        self._mark_dirty()
-        try:
-            yield flow.done
-        except TransferAborted:
-            return
 
     def _register_flow(self, flow: Flow) -> None:
         """Add a flow to the active set and its resources' member sets."""

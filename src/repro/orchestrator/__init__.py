@@ -21,6 +21,7 @@ from .fingerprint import (
     calibration_digest,
     canonical,
     canonical_json,
+    code_digest,
     fingerprint_key,
     revive,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "calibration_digest",
     "canonical",
     "canonical_json",
+    "code_digest",
     "current_orchestrator",
     "default_worker_count",
     "execute_job",

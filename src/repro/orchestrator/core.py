@@ -2,8 +2,8 @@
 
 :class:`Orchestrator` is the single front door for running experiment
 and baseline jobs. Every call path — ``repro sweep``, figure
-generation, the resilience reports, the benchmark harness — funnels
-through it, so caching and parallelism are implemented once:
+generation, the resilience reports — funnels through it, so caching
+and parallelism are implemented once:
 
 * :meth:`experiment` / :meth:`baseline` run one job with the full
   lookup chain (in-memory memo → on-disk cache → execute) and raise

@@ -4,10 +4,10 @@ A fingerprint is a plain JSON document that captures *everything* a
 simulated run's output depends on: the experiment key and its resolved
 hardware groups, the model, the target batch size, epoch count, spot
 pricing flag, every config override (fault schedules included), the
-calibration table digest, and the cache schema / fingerprint versions.
-Two requests with equal fingerprints are guaranteed to produce
-byte-identical results, because the simulation is a pure function of
-its config and seed.
+calibration table digest, a digest of the simulator's own source code,
+and the cache schema / fingerprint versions. Two requests with equal
+fingerprints are guaranteed to produce byte-identical results, because
+the simulation is a pure function of its code, config and seed.
 
 The canonical form is deliberately strict: only JSON scalars,
 lists/tuples, string-keyed dicts and a small registry of revivable
@@ -22,10 +22,10 @@ live telemetry sinks, ad-hoc objects — raises :class:`Uncacheable`,
 and the orchestrator falls back to running the job inline without the
 cache rather than hashing an unstable representation.
 
-Bump :data:`FINGERPRINT_VERSION` whenever the simulation's semantics
-change in a result-affecting way that the fingerprint fields cannot
-see; every existing cache entry then misses (and ``repro cache gc``
-collects the stale generation).
+Any edit to a ``repro`` source file changes :func:`code_digest`, so
+results computed by other code miss (and ``repro cache gc`` collects
+them). Bump :data:`FINGERPRINT_VERSION` only when the fingerprint
+schema or the record codec changes.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import dataclasses
 import hashlib
 import json
 from functools import lru_cache
+from pathlib import Path
 from typing import Any
 
 __all__ = [
@@ -41,12 +42,13 @@ __all__ = [
     "Uncacheable",
     "calibration_digest",
     "canonical",
+    "code_digest",
     "canonical_json",
     "fingerprint_key",
     "revive",
 ]
 
-#: Bumped when run semantics change without a visible config change;
+#: Bumped when the fingerprint schema or the record codec changes;
 #: part of every fingerprint, so a bump invalidates the whole cache.
 #: v2: control-plane policies joined the fingerprint (PR 5), so cached
 #: static results cannot shadow adaptive ones and vice versa.
@@ -193,3 +195,21 @@ def calibration_digest() -> str:
             for (gpu, model), sps in sorted(CALIBRATED_SPS.items())}
     text = canonical_json(flat)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@lru_cache(maxsize=1)
+def code_digest() -> str:
+    """Digest of every ``repro`` Python source file.
+
+    Folded into every fingerprint so a cached result is served only to
+    the code that computed it. Hashes each file's package-relative path
+    and bytes, in sorted path order.
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_bytes()
+        name = path.relative_to(package).as_posix().encode("utf-8")
+        digest.update(b"%s\0%d\0" % (name, len(source)))
+        digest.update(source)
+    return digest.hexdigest()[:16]

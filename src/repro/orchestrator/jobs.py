@@ -39,6 +39,7 @@ from .fingerprint import (
     FINGERPRINT_VERSION,
     calibration_digest,
     canonical,
+    code_digest,
     fingerprint_key,
     revive,
 )
@@ -112,6 +113,7 @@ class ExperimentJob:
             "spot": self.spot,
             "overrides": {name: value for name, value in self.overrides},
             "calibration": calibration_digest(),
+            "code": code_digest(),
         }
 
     def to_wire(self) -> dict:
@@ -149,6 +151,7 @@ class BaselineJob:
             "model": self.model,
             "spot": self.spot,
             "calibration": calibration_digest(),
+            "code": code_digest(),
         }
 
     def to_wire(self) -> dict:

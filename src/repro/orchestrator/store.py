@@ -20,8 +20,9 @@ The file name *is* the content address: ``verify`` recomputes the
 fingerprint hash and flags any entry whose stored fingerprint no
 longer hashes to its own name (bit rot, hand edits), whose JSON does
 not parse, or whose schema is unknown. ``gc`` removes corrupt entries,
-entries from older fingerprint generations, and optionally entries
-older than ``max_age_days``.
+stale ones (an older fingerprint generation, or a result computed by
+other simulator code), and optionally entries older than
+``max_age_days``.
 
 Reads treat any defect as a miss: a corrupt entry can cost a
 recomputation, never a wrong result. Writes are atomic
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .fingerprint import FINGERPRINT_VERSION, fingerprint_key
+from .fingerprint import FINGERPRINT_VERSION, code_digest, fingerprint_key
 
 __all__ = ["CACHE_SCHEMA", "CacheEntry", "RunCache", "resolve_cache_dir"]
 
@@ -69,10 +70,14 @@ class CacheEntry:
     kind: str = "?"
     label: str = "?"
     fingerprint_version: Optional[int] = None
+    #: :func:`~repro.orchestrator.fingerprint.code_digest` of the code
+    #: that computed the record.
+    code: Optional[str] = None
 
     @property
     def stale(self) -> bool:
-        return self.fingerprint_version != FINGERPRINT_VERSION
+        return (self.fingerprint_version != FINGERPRINT_VERSION
+                or self.code != code_digest())
 
 
 class RunCache:
@@ -185,7 +190,7 @@ class RunCache:
         for path in self._object_files():
             stat = path.stat()
             key = path.stem
-            kind, label, version = "?", "?", None
+            kind, label, version, code = "?", "?", None, None
             try:
                 with open(path) as handle:
                     document = json.load(handle)
@@ -198,12 +203,13 @@ class RunCache:
                     f"/{job.get('model', '?')}"
                 )
                 version = fingerprint.get("fingerprint_version")
+                code = fingerprint.get("code")
             except (OSError, json.JSONDecodeError, AttributeError):
                 pass
             entries.append(CacheEntry(
                 key=key, path=path, size_bytes=stat.st_size,
                 mtime=stat.st_mtime, kind=kind, label=label,
-                fingerprint_version=version,
+                fingerprint_version=version, code=code,
             ))
         return entries
 
@@ -254,7 +260,7 @@ class RunCache:
         return problems
 
     def gc(self, max_age_days: Optional[float] = None) -> list[str]:
-        """Remove corrupt, stale-generation, and (optionally) old entries.
+        """Remove corrupt, stale, and (optionally) old entries.
 
         Returns the keys of removed entries.
         """
@@ -266,7 +272,7 @@ class RunCache:
             if entry.key in broken:
                 reason = "corrupt"
             elif entry.stale:
-                reason = "stale fingerprint generation"
+                reason = "stale fingerprint generation or code"
             elif (max_age_days is not None
                     and now - entry.mtime > max_age_days * 86400.0):
                 reason = "expired"

@@ -46,7 +46,8 @@ class Telemetry:
         #: track. Off by default: kernel processes outnumber the
         #: explicitly instrumented spans and the extra recording is the
         #: single biggest share of tracing overhead; the process
-        #: *tallies* below are kept either way.
+        #: *tallies* below are kept either way. Fabric flows count as
+        #: processes in the tallies but never get a span.
         self.capture_processes = capture_processes
         # Kernel tallies kept as plain ints on the hot path; folded into
         # the registry by :meth:`sync_kernel_metrics`. The scheduled-

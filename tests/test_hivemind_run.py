@@ -20,6 +20,10 @@ from repro.hivemind import (
     run_hivemind,
 )
 from repro.network import build_topology
+from repro.orchestrator import execute_job, job_from_wire
+
+#: A 3-epoch D-2 run under the adaptive policy (see test_run_codec.py).
+D2_ADAPTIVE_RECORD = Path(__file__).parent / "data" / "d2_adaptive_record.json"
 
 
 def make_config(model="conv", counts=None, gpu="t4", tbs=32768, epochs=3,
@@ -167,6 +171,16 @@ class TestEgressAccounting:
         large = run_hivemind(make_config("conv", {"gc:us": 2}))
         assert (small.average_egress_rate_bps()
                 < large.average_egress_rate_bps())
+
+    def test_averaging_bytes_exclude_state_sync_and_dht(self):
+        # A 3-epoch adaptive D-2 run with two state syncs: of its
+        # metered bytes, only the averager's count as averaging bytes.
+        record = json.loads(D2_ADAPTIVE_RECORD.read_text())
+        run = execute_job(job_from_wire(record["job"])).run
+        metered = sum(run.egress_bytes_by_pair.values())
+        assert run.state_syncs == 2
+        assert run.averaging_bytes == pytest.approx(7.1208e9)
+        assert run.averaging_bytes < metered
 
 
 class TestNumericTraining:

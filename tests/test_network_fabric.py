@@ -4,6 +4,7 @@ import pytest
 
 from repro.network import Fabric, GBPS, Site, Topology
 from repro.simulation import Environment
+from repro.telemetry import Telemetry
 
 
 def two_site_topology(nic_bps=1 * GBPS, window=64e6, rtt=None):
@@ -262,3 +263,29 @@ def test_simultaneous_completions_follow_admission_order():
         events.append(done)
     env.run(env.all_of(events))
     assert finished == list(range(pairs))
+
+
+def _flow_tallies(telemetry):
+    """One completed and one aborted transfer under ``telemetry``."""
+    env = Environment(telemetry=telemetry)
+    fabric = Fabric(env, two_site_topology(rtt=0.2), telemetry=telemetry)
+    completed = fabric.transfer("a", "b", 125e6)
+    aborted = fabric.transfer("a", "c", 125e6)
+    env.run(env.timeout(0.5))
+    assert fabric.abort(aborted)
+    env.run(completed)
+    assert telemetry.processes_spawned == telemetry.processes_finished
+    return (
+        telemetry.processes_spawned,
+        telemetry.processes_finished,
+        fabric.aborted_flows,
+        telemetry.metrics.counter("transfers_total").total,
+        fabric.meter.total_bytes,
+    )
+
+
+def test_flow_tallies_do_not_depend_on_process_capture():
+    default = _flow_tallies(Telemetry())
+    captured = _flow_tallies(Telemetry(capture_processes=True))
+    assert default == captured
+    assert default[:4] == (2, 2, 1, 1)

@@ -117,6 +117,30 @@ class TestFingerprint:
                             99)
         assert job_key(job) != before
 
+    def test_code_change_invalidates(self, monkeypatch, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        cold = Orchestrator(cache=cache)
+        cold.experiment("A-2", "conv", epochs=2)
+        [old] = cache.ls()
+        assert not old.stale
+        job = ExperimentJob.make("A-2", "conv", epochs=2)
+        assert job_key(job) == old.key
+
+        def edited_code():
+            return "0" * 16
+
+        monkeypatch.setattr("repro.orchestrator.jobs.code_digest",
+                            edited_code)
+        monkeypatch.setattr("repro.orchestrator.store.code_digest",
+                            edited_code)
+        assert job_key(job) != old.key
+        warm = Orchestrator(cache=cache)
+        warm.experiment("A-2", "conv", epochs=2)
+        assert warm.executed == 1 and cache.hits == 0
+        assert cache.gc() == [old.key]
+        [new] = cache.ls()
+        assert new.key == job_key(job) and not new.stale
+
     def test_uncacheable_override(self):
         with pytest.raises(Uncacheable):
             ExperimentJob.make("A-2", "conv", telemetry=Telemetry())
