@@ -5,16 +5,14 @@ on the time of day and zone availability, and can vary widely between
 cloud providers" — which is precisely why training *across* zones and
 clouds can be cheaper. This module models a zone's spot price as the
 on-demand price times a discount that breathes with local demand (deep
-discounts at night, shallow at the zone's peak hour), plus optional
-mean-reverting noise.
+discounts at night, shallow at the zone's peak hour). The price is a
+pure function of the simulation time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 __all__ = ["SpotPriceModel", "integrate_price_usd", "price_series"]
@@ -48,16 +46,9 @@ class SpotPriceModel:
         # Demand peaks at peak_hour -> discount is smallest there.
         return self.mean_discount * (1.0 - self.swing * math.cos(phase))
 
-    def price_at(
-        self,
-        sim_time_s: float,
-        rng: Optional[np.random.Generator] = None,
-        noise: float = 0.0,
-    ) -> float:
-        """Spot price at a simulation time; optional relative noise."""
+    def price_at(self, sim_time_s: float) -> float:
+        """Spot price at a simulation time."""
         price = self.ondemand_per_h * (1.0 - self.discount_at(sim_time_s))
-        if rng is not None and noise > 0:
-            price *= float(np.exp(rng.normal(0.0, noise)))
         return min(max(price, 0.0), self.ondemand_per_h)
 
 

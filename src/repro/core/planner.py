@@ -29,6 +29,12 @@ __all__ = ["Advice", "evaluate_setup", "recommend_target_batch_size"]
 #: scaling; a granularity >= ~1 is where speedups remain meaningful).
 MIN_USEFUL_GRANULARITY = 1.0
 
+#: The instance type a peer is priced as, by the provider of its site.
+_INSTANCE_BY_PROVIDER = {
+    "gc": "gc-t4", "aws": "aws-t4", "azure": "azure-t4",
+    "lambda": "lambda-a10", "onprem": "onprem-rtx8000",
+}
+
 
 @dataclass
 class Advice:
@@ -89,21 +95,14 @@ def evaluate_setup(
     topology: Topology,
     target_batch_size: int = 32768,
     codec: str = "fp16",
-    instance_keys: dict[str, str] | None = None,
     spot: bool = True,
 ) -> Advice:
     """Evaluate a candidate training setup; peers are (site, gpu_key)."""
     prediction = predict(model_key, peers, topology, target_batch_size, codec)
-    instance_keys = instance_keys or {}
     hourly_vm = 0.0
-    for site, gpu in peers:
-        key = instance_keys.get(site)
-        if key is None:
-            provider = site.split(":", 1)[0]
-            key = {
-                "gc": "gc-t4", "aws": "aws-t4", "azure": "azure-t4",
-                "lambda": "lambda-a10", "onprem": "onprem-rtx8000",
-            }.get(provider, "gc-t4")
+    for site, __ in peers:
+        provider = site.split(":", 1)[0]
+        key = _INSTANCE_BY_PROVIDER.get(provider, "gc-t4")
         hourly_vm += get_instance_type(key).price_per_hour(spot=spot)
     hourly_egress = _estimate_hourly_egress(
         model_key, peers, topology, prediction, codec

@@ -12,8 +12,8 @@ matchmaking jitter, fewer keep the benchmarks fast.
 Each report builds its run list once, as a list of jobs, and reads
 the results through :func:`_runs`: that requests every point from the
 ambient :class:`~repro.orchestrator.Orchestrator`, so repeated points
-come from the run cache, and with ``jobs > 1`` it prefetches the whole
-list on a process pool first while the row building stays serial.
+come from the run cache, and with ``jobs > 1`` it maps the whole list
+on a process pool first while the row building stays serial.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from ..orchestrator import (
     ExperimentJob,
     Job,
     Orchestrator,
-    RunCache,
     current_orchestrator,
     use_orchestrator,
 )
@@ -53,8 +52,8 @@ _TASKS = {"conv": "CV", "rxlm": "NLP"}
 def _runs(jobs: list[Job]) -> list[ExperimentResult | UnsupportedConfiguration]:
     """Results of a report's run list, in list order.
 
-    With ``jobs > 1`` the ambient orchestrator prefetches the whole
-    list on its process pool first. Each point is then requested through
+    With ``jobs > 1`` the ambient orchestrator maps the whole list on
+    its process pool first. Each point is then requested through
     :meth:`~repro.orchestrator.Orchestrator.experiment` / ``baseline``,
     so a serial pass makes exactly the requests a plain loop would. An
     :class:`UnsupportedConfiguration` comes back in place of its result;
@@ -62,7 +61,9 @@ def _runs(jobs: list[Job]) -> list[ExperimentResult | UnsupportedConfiguration]:
     """
     orchestrator = current_orchestrator()
     if orchestrator.jobs > 1:
-        orchestrator.prefetch(jobs)
+        # Warms the memo only: a failed point stays cold, and the loop
+        # below re-executes it to raise the error in place.
+        orchestrator.map(jobs)
     results = []
     for job in jobs:
         try:
@@ -805,23 +806,22 @@ def report_keys() -> list[str]:
     return list(REPORTS)
 
 
-def generate(key: str, epochs: int = 3, jobs: int = 1,
-             cache: "RunCache | None" = None,
+def generate(key: str, epochs: int = 3,
              orchestrator: "Orchestrator | None" = None,
              **kwargs) -> Report:
     """Regenerate one of the paper's tables/figures by id.
 
-    The report runs under ``orchestrator`` (by default a fresh one with
-    ``cache`` and ``jobs``). With ``jobs > 1`` each run list is
-    prefetched on a process pool before the body assembles its rows
-    serially from warm results, so the output is identical to a serial
-    run. ``cache`` persists results across invocations. Extra keyword
-    arguments reach the report body (e.g. ``policy=`` for the
-    ``adaptive`` report).
+    The report runs under ``orchestrator`` (by default the ambient one,
+    see :func:`~repro.orchestrator.current_orchestrator`). When its
+    ``jobs > 1`` each run list is mapped on a process pool before the
+    body assembles its rows serially from warm results, so the output is
+    identical to a serial run; its ``cache`` persists results across
+    invocations. Extra keyword arguments reach the report body (e.g.
+    ``policy=`` for the ``adaptive`` report).
     """
     if key not in REPORTS:
         raise KeyError(f"unknown report {key!r}; known: {report_keys()}")
     if orchestrator is None:
-        orchestrator = Orchestrator(cache=cache, jobs=jobs)
+        orchestrator = current_orchestrator()
     with use_orchestrator(orchestrator):
         return REPORTS[key](epochs=epochs, **kwargs)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from .figures import REPORTS, Report
+from ..orchestrator import current_orchestrator, use_orchestrator
+from .figures import REPORTS, Report, generate
 from .validation import render_scorecard, run_validation
 
 __all__ = ["epoch_breakdown", "report_to_markdown", "write_markdown_report"]
@@ -99,7 +100,11 @@ def write_markdown_report(
     epochs: int = 3,
     include_scorecard: bool = True,
 ) -> Path:
-    """Regenerate reports and write them as one markdown document."""
+    """Regenerate reports and write them as one markdown document.
+
+    Every report and the scorecard run under one orchestrator, so each
+    distinct point is simulated once.
+    """
     keys = keys if keys is not None else list(REPORTS)
     unknown = [key for key in keys if key not in REPORTS]
     if unknown:
@@ -111,16 +116,17 @@ def write_markdown_report(
         "Learning Models Across Clouds and Continents?* (PVLDB 17(6)), "
         f"simulated with `epochs={epochs}`.",
     ]
-    for key in keys:
-        sections.append("")
-        sections.append(report_to_markdown(REPORTS[key](epochs=epochs)))
-    if include_scorecard:
-        sections.append("")
-        sections.append("## Paper-fidelity scorecard")
-        sections.append("")
-        sections.append("```")
-        sections.append(render_scorecard(run_validation(epochs=epochs)))
-        sections.append("```")
+    with use_orchestrator(current_orchestrator()):
+        for key in keys:
+            sections.append("")
+            sections.append(report_to_markdown(generate(key, epochs=epochs)))
+        if include_scorecard:
+            sections.append("")
+            sections.append("## Paper-fidelity scorecard")
+            sections.append("")
+            sections.append("```")
+            sections.append(render_scorecard(run_validation(epochs=epochs)))
+            sections.append("```")
     path = Path(path)
     path.write_text("\n".join(sections) + "\n")
     return path

@@ -84,7 +84,6 @@ def run_experiment(
     target_batch_size: int = 32768,
     epochs: int = 3,
     spot: bool = True,
-    reference_baseline: Optional[float] = None,
     **overrides,
 ) -> ExperimentResult:
     """Execute one named experiment and summarize it."""
@@ -93,9 +92,7 @@ def run_experiment(
                               **overrides)
     result = run_hivemind(config)
     report = cost_report(result, spot=spot)
-    if reference_baseline is None:
-        first_location, __, first_gpu = spec.groups[0]
-        reference_baseline = baseline_sps(first_gpu, model)
+    first_location, __, first_gpu = spec.groups[0]
     return ExperimentResult(
         key=key,
         model=model,
@@ -111,7 +108,7 @@ def run_experiment(
         / len(result.epochs),
         hourly_cost_usd=report.hourly_total,
         usd_per_million_samples=report.usd_per_million_samples,
-        baseline_sps=reference_baseline,
+        baseline_sps=baseline_sps(first_gpu, model),
         run=result,
     )
 

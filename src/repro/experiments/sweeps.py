@@ -19,10 +19,10 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from ..orchestrator import ExperimentJob, Orchestrator, RunCache, Uncacheable
-from .runner import ExperimentResult, run_experiment
+from ..orchestrator import ExperimentJob, Orchestrator
+from .runner import ExperimentResult
 
 __all__ = ["SweepFailure", "SweepGrid", "SweepResult", "run_sweep"]
 
@@ -59,10 +59,6 @@ class SweepFailure:
     error_type: str = "Exception"
     traceback: str = ""
 
-    def __iter__(self) -> Iterator:
-        # Unpacks like the historical ``(point, error)`` tuple.
-        return iter((self.point, self.error))
-
     def to_dict(self) -> dict:
         return {
             "point": list(self.point),
@@ -78,7 +74,8 @@ class SweepResult:
 
     results: list[ExperimentResult] = field(default_factory=list)
     failures: list[SweepFailure] = field(default_factory=list)
-    #: Lookup counters from the orchestrator that ran the sweep.
+    #: Lookups and executions this sweep added to its orchestrator's
+    #: counters (the orchestrator may have served earlier work).
     cache_hits: int = 0
     cache_misses: int = 0
     executed: int = 0
@@ -123,55 +120,27 @@ def _grid_jobs(grid: SweepGrid, epochs: int,
     ]
 
 
-def _run_sweep_direct(grid: SweepGrid, epochs: int,
-                      progress: Optional[callable],
-                      **overrides) -> SweepResult:
-    """Legacy serial path for overrides the fingerprint cannot carry."""
-    sweep = SweepResult()
-    for point in grid.points():
-        model, experiment, tbs = point
-        try:
-            result = run_experiment(experiment, model,
-                                    target_batch_size=tbs, epochs=epochs,
-                                    **overrides)
-        except Exception as error:  # e.g. OOM configurations
-            sweep.failures.append(SweepFailure(
-                point=point, error=str(error),
-                error_type=type(error).__name__,
-            ))
-            continue
-        sweep.results.append(result)
-        sweep.executed += 1
-        if progress is not None:
-            progress(result)
-    return sweep
-
-
 def run_sweep(
     grid: SweepGrid,
     epochs: int = 3,
     progress: Optional[callable] = None,
-    jobs: int = 1,
-    cache: Optional[RunCache] = None,
     orchestrator: Optional[Orchestrator] = None,
     **overrides,
 ) -> SweepResult:
     """Execute every grid point; failures are recorded, not raised.
 
-    ``jobs > 1`` runs cache misses on a process pool; results and
-    failure records are merged in grid order, so the sweep's exports do
-    not depend on the worker count. Pass ``cache`` to reuse results
-    across invocations, or a preconfigured ``orchestrator`` (which
-    wins over both knobs).
+    The points run through ``orchestrator`` (by default a fresh serial,
+    cache-less one): its ``jobs > 1`` runs cache misses on a process
+    pool, and its ``cache`` reuses results across invocations. Results
+    and failure records are merged in grid order, so the sweep's exports
+    do not depend on the worker count. Overrides must be fingerprintable
+    (:class:`~repro.orchestrator.Uncacheable` otherwise).
     """
-    try:
-        grid_jobs = _grid_jobs(grid, epochs, **overrides)
-    except Uncacheable:
-        # An override that cannot be fingerprinted (live telemetry
-        # sink, ad-hoc object): run the historical serial path.
-        return _run_sweep_direct(grid, epochs, progress, **overrides)
+    grid_jobs = _grid_jobs(grid, epochs, **overrides)
     if orchestrator is None:
-        orchestrator = Orchestrator(cache=cache, jobs=jobs)
+        orchestrator = Orchestrator()
+    hits, misses = orchestrator.hits, orchestrator.misses
+    executed = orchestrator.executed
     sweep = SweepResult()
     for outcome in orchestrator.map(grid_jobs, progress=progress):
         if outcome.ok:
@@ -183,7 +152,7 @@ def run_sweep(
                 error_type=outcome.failure.error_type,
                 traceback=outcome.failure.traceback,
             ))
-    sweep.cache_hits = orchestrator.hits
-    sweep.cache_misses = orchestrator.misses
-    sweep.executed = orchestrator.executed
+    sweep.cache_hits = orchestrator.hits - hits
+    sweep.cache_misses = orchestrator.misses - misses
+    sweep.executed = orchestrator.executed - executed
     return sweep

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .figures import REPORTS, Report
+from ..orchestrator import current_orchestrator, use_orchestrator
+from .figures import Report, generate
 
 __all__ = ["Anchor", "ANCHORS", "ValidationRow", "run_validation",
            "render_scorecard"]
@@ -139,11 +140,14 @@ class ValidationRow:
 def run_validation(
     epochs: int = 3, report_keys: Optional[list[str]] = None
 ) -> list[ValidationRow]:
-    """Evaluate every anchor; reports are generated once each."""
+    """Evaluate every anchor; reports are generated once each, under
+    one orchestrator, so a point two reports share is simulated once."""
     wanted = {a.report_key for a in ANCHORS}
     if report_keys is not None:
         wanted &= set(report_keys)
-    reports = {key: REPORTS[key](epochs=epochs) for key in sorted(wanted)}
+    with use_orchestrator(current_orchestrator()):
+        reports = {key: generate(key, epochs=epochs)
+                   for key in sorted(wanted)}
     rows = []
     for anchor in ANCHORS:
         if anchor.report_key not in reports:

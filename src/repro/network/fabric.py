@@ -7,12 +7,13 @@ by three kinds of resources:
 * the destination NIC (ingress),
 * the path capacity between the two sites,
 
-plus a per-flow ceiling from the TCP model: ``streams × window/RTT``
-(and optionally an application-level per-stream cap, used to model
-Hivemind's ~1.1 Gb/s serialization limit). Rates are assigned by
-progressive filling (max-min fairness) and recomputed whenever a flow
-starts or finishes, which is the standard fluid approximation for TCP
-fair sharing.
+plus a per-flow ceiling from the TCP model, ``streams × window/RTT``,
+and any named application channels the flow joins (the averager models
+Hivemind's ~1.1 Gb/s per-VM serialization budget as shared
+``avg-out:``/``avg-in:`` channels). Rates are assigned by progressive
+filling (max-min fairness) and recomputed whenever a flow starts or
+finishes, which is the standard fluid approximation for TCP fair
+sharing.
 
 Rebalancing is incremental: resource membership is maintained as flows
 start and finish (rather than rebuilt from every active flow), static
@@ -33,8 +34,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-
-import numpy as np
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,6 +45,12 @@ from .topology import Site, Topology, classify_traffic
 __all__ = ["Fabric", "Flow", "TrafficMeter", "TransferAborted"]
 
 _EPS = 1e-9
+
+#: Flows below this size are metered (all counters still fire) but get
+#: no per-flow span: control-plane messages like DHT RPC payloads are
+#: already spanned at the protocol layer, and they outnumber data flows
+#: by an order of magnitude.
+_TRACE_MIN_BYTES = 4096.0
 
 
 class TransferAborted(Exception):
@@ -176,16 +181,7 @@ class _FillEntry:
 class Fabric:
     """The shared network. Created once per simulated experiment."""
 
-    def __init__(
-        self,
-        env: Environment,
-        topology: Topology,
-        stream_cap_bps: Optional[float] = None,
-        jitter: float = 0.0,
-        rng=None,
-        telemetry=None,
-        trace_min_bytes: float = 4096.0,
-    ):
+    def __init__(self, env: Environment, topology: Topology, telemetry=None):
         self.env = env
         self.topology = topology
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -193,11 +189,6 @@ class Fabric:
         #: finish are the busiest instrumented call sites, so they skip
         #: the facade passthrough.
         self._tracer = self.telemetry.tracer if self.telemetry.enabled else None
-        #: Flows below this size are metered (all counters still fire)
-        #: but get no per-flow span: control-plane messages like DHT
-        #: RPC payloads are already spanned at the protocol layer, and
-        #: they outnumber data flows by an order of magnitude.
-        self.trace_min_bytes = trace_min_bytes
         self._bytes_counter = self.telemetry.counter(
             "transfer_bytes_total",
             "Bytes delivered by the fabric, by traffic class and tag",
@@ -209,16 +200,6 @@ class Fabric:
             "flow_duration_seconds",
             "Wall time of each fabric transfer (request to last byte)",
         )
-        #: Application-level per-stream throughput cap (bits/s); models
-        #: serialization/CPU bottlenecks on top of TCP. ``None`` = no cap.
-        self.stream_cap_bps = stream_cap_bps
-        #: Lognormal sigma applied to each flow's ceiling — the "wide
-        #: variation, likely due to network utilization" the paper saw
-        #: in its microbenchmarks. 0 disables jitter.
-        if jitter < 0:
-            raise ValueError("jitter must be >= 0")
-        self.jitter = jitter
-        self._rng = rng
         self.meter = TrafficMeter()
         # Per-label-set metric children and interned track names: flow
         # completion runs once per transfer, so everything resolvable
@@ -279,7 +260,6 @@ class Fabric:
         dst: str,
         nbytes: float,
         streams: int = 1,
-        stream_cap_bps: Optional[float] = None,
         tag: Optional[str] = None,
         channels: tuple[str, ...] = (),
     ) -> Event:
@@ -296,13 +276,6 @@ class Fabric:
         if entry is None:
             entry = self._resolve_transfer(src, dst, channels)
         src_site, dst_site, path, propagation, resource_ids, channel_ids = entry
-        if stream_cap_bps is None:
-            stream_cap_bps = self.stream_cap_bps
-        ceiling = effective_ceiling_bps(path, streams, stream_cap_bps)
-        if self.jitter > 0:
-            if self._rng is None:
-                self._rng = np.random.default_rng(0)
-            ceiling *= float(np.exp(self._rng.normal(0.0, self.jitter)))
         done = Event(self.env)
         flow = Flow(
             flow_id=next(self._flow_ids),
@@ -310,7 +283,7 @@ class Fabric:
             dst=dst_site,
             total_bytes=float(nbytes),
             remaining_bytes=float(nbytes),
-            ceiling_bps=ceiling,
+            ceiling_bps=effective_ceiling_bps(path, streams),
             done=done,
             tag=tag,
             channels=channel_ids,
@@ -318,7 +291,7 @@ class Fabric:
             resource_ids=resource_ids,
         )
         self._event_flows[done] = flow
-        if self._tracer is not None and nbytes >= self.trace_min_bytes:
+        if self._tracer is not None and nbytes >= _TRACE_MIN_BYTES:
             track = self._track_names.get(src_site.name)
             if track is None:
                 track = self._track_names[src_site.name] = f"net:{src_site.name}"

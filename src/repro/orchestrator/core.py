@@ -11,12 +11,15 @@ and parallelism are implemented once:
   ``try/except`` call sites keep working;
 * :meth:`map` runs many jobs, resolving hits first and fanning the
   misses out over a process pool when ``jobs > 1``; outcomes come back
-  in input order, and failures are returned as records, not raised;
-* :meth:`prefetch` is :meth:`map` for its warming side effect: each
-  report builds its run list once and, when ``jobs > 1``, prefetches
-  it before requesting the points one by one through
+  in input order, and failures are returned as records, not raised.
+  Each report builds its run list once and, when ``jobs > 1``, maps it
+  for the warm memo before requesting the points one by one through
   :meth:`experiment` / :meth:`baseline`, so the row building stays
   serial and ``--jobs N`` parallelism comes from the warm memo.
+
+Both paths read through one lookup (memo, then disk) and write through
+one store, so a result is fingerprinted, decoded and cached the same
+way whichever path produced it.
 
 The ambient orchestrator (:func:`use_orchestrator` /
 :func:`current_orchestrator`) lets the figure code find the active
@@ -142,21 +145,36 @@ class Orchestrator:
 
     def _run_one(self, job: Job):
         key = job_key(job)
+        hit = self._lookup(key)
+        if hit is not None:
+            return hit[0]
+        self.executed += 1
+        result = execute_job(job)  # simulation errors propagate
+        self._store(job, key, result)
+        return result
+
+    def _lookup(self, key: str) -> Optional[tuple[Any, str]]:
+        """``(result, source)`` for a stored key (memo, then disk), or
+        ``None`` on a miss; a disk hit enters the memo."""
         if key in self._memo:
             self.memo_hits += 1
-            return self._memo[key]
+            return self._memo[key], "memo"
         if self.cache is not None:
             record = self.cache.get(key)
             if record is not None:
-                result = result_from_record(record)
-                self._memo[key] = result
-                return result
-        self.executed += 1
-        result = execute_job(job)  # simulation errors propagate
+                result = self._memo[key] = result_from_record(record)
+                return result, "cache"
+        return None
+
+    def _store(self, job: Job, key: str, result,
+               record: Optional[dict] = None) -> None:
+        """Memoize ``result`` and write it (or its ready ``record``) to
+        the disk cache when one is attached."""
         if self.cache is not None:
-            self.cache.put(key, job.fingerprint(), result_to_record(job, result))
+            if record is None:
+                record = result_to_record(job, result)
+            self.cache.put(key, job.fingerprint(), record)
         self._memo[key] = result
-        return result
 
     # -- batch API ---------------------------------------------------------
 
@@ -177,11 +195,6 @@ class Orchestrator:
         for index, job in enumerate(jobs):
             try:
                 key = job_key(job)
-            except Uncacheable:
-                self.uncacheable += 1
-                keys.append(None)
-                pending.append(index)
-                continue
             except Exception:
                 # Invalid job (e.g. unknown experiment key): run it
                 # inline so the failure surfaces as an ordinary record
@@ -190,23 +203,14 @@ class Orchestrator:
                 pending.append(index)
                 continue
             keys.append(key)
-            if key in self._memo:
-                self.memo_hits += 1
-                outcomes[index] = JobOutcome(job, result=self._memo[key],
-                                             source="memo")
-                continue
-            if self.cache is not None:
-                record = self.cache.get(key)
-                if record is not None:
-                    result = result_from_record(record)
-                    self._memo[key] = result
-                    outcomes[index] = JobOutcome(job, result=result,
-                                                 source="cache")
-                    continue
-            pending.append(index)
+            hit = self._lookup(key)
+            if hit is not None:
+                outcomes[index] = JobOutcome(job, result=hit[0],
+                                             source=hit[1])
+            else:
+                pending.append(index)
 
         poolable = [i for i in pending if keys[i] is not None]
-        inline = [i for i in pending if keys[i] is None]
         if self.jobs > 1 and len(poolable) > 1:
             wires = [jobs[i].to_wire() for i in poolable]
             raw = run_wire_jobs(
@@ -220,28 +224,17 @@ class Orchestrator:
                 self.executed += 1
                 outcomes[index] = self._absorb(jobs[index], keys[index],
                                                outcome)
-        else:
-            inline = pending
-            poolable = []
-        for index in inline:
-            self.executed += 1
-            outcomes[index] = self._execute_inline(jobs[index], keys[index])
+        for index in pending:
+            if outcomes[index] is None:
+                self.executed += 1
+                outcomes[index] = self._execute_inline(jobs[index],
+                                                       keys[index])
 
         if progress is not None:
             for outcome in outcomes:
-                if outcome is not None and outcome.ok:
+                if outcome.ok:
                     progress(outcome.result)
-        assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
-
-    def prefetch(self, jobs: Sequence[Job]) -> list[JobOutcome]:
-        """Warm the memo/cache for ``jobs``; failures stay silent.
-
-        A failed prefetch simply leaves its point cold — the serial
-        consumer re-executes it and surfaces the error through its own
-        (original) control flow.
-        """
-        return self.map(jobs)
 
     def _execute_inline(self, job: Job, key: Optional[str]) -> JobOutcome:
         try:
@@ -249,10 +242,7 @@ class Orchestrator:
         except Exception as error:
             return JobOutcome(job, failure=format_failure(error))
         if key is not None:
-            if self.cache is not None:
-                self.cache.put(key, job.fingerprint(),
-                               result_to_record(job, result))
-            self._memo[key] = result
+            self._store(job, key, result)
         return JobOutcome(job, result=result)
 
     def _absorb(self, job: Job, key: str, outcome: dict) -> JobOutcome:
@@ -261,10 +251,8 @@ class Orchestrator:
                 job, failure=JobFailure.from_dict(outcome["failure"])
             )
         record = outcome["record"]
-        if self.cache is not None:
-            self.cache.put(key, job.fingerprint(), record)
         result = result_from_record(record)
-        self._memo[key] = result
+        self._store(job, key, result, record)
         return JobOutcome(job, result=result)
 
 

@@ -16,17 +16,15 @@ The kernel is intentionally minimal but complete enough for the study:
 Time is a ``float`` in seconds. Scheduling is deterministic: events firing
 at the same timestamp are processed in the order they were scheduled.
 
-An :class:`Environment` optionally carries a telemetry sink (any object
-implementing the hook protocol of
-:class:`repro.telemetry.Telemetry`): its ``on_process_spawn`` /
-``on_process_finish`` / ``on_process_interrupt`` hooks are called on
-process lifecycle transitions when the sink's ``capture_processes``
-flag is set; otherwise the kernel updates the sink's plain integer
-tallies (``processes_spawned`` / ``processes_finished`` /
-``processes_failed``, and per event ``events_scheduled`` /
-``queue_depth_high_water``) in place — a method call per event or
+An :class:`Environment` optionally carries a telemetry sink (a
+:class:`repro.telemetry.Telemetry`). The kernel updates the sink's plain
+integer tallies in place: ``processes_spawned`` /
+``processes_finished`` / ``processes_failed`` /
+``processes_interrupted`` on process lifecycle transitions and
+``queue_depth_high_water`` per scheduled event (the sink reads the
+scheduled-event count from ``_sequence``) — a method call per event or
 process would dominate the tracing overhead. With no sink attached
-every hook site is a single ``is None`` check.
+every tally site is a single ``is None`` check.
 """
 
 from __future__ import annotations
@@ -170,13 +168,7 @@ class Process(Event):
         self._target: Optional[Event] = None
         tel = env._telemetry
         if tel is not None:
-            # Full hook only when the sink records process spans; the
-            # plain tally is inlined otherwise (hundreds of processes
-            # per run make the method call measurable).
-            if tel.capture_processes:
-                tel.on_process_spawn(self)
-            else:
-                tel.processes_spawned += 1
+            tel.processes_spawned += 1
         _Initialize(env, self)
 
     @property
@@ -196,8 +188,9 @@ class Process(Event):
                 self._target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        if self.env._telemetry is not None:
-            self.env._telemetry.on_process_interrupt(self, cause)
+        tel = self.env._telemetry
+        if tel is not None:
+            tel.processes_interrupted += 1
         interrupt_event = Event(self.env)
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
@@ -219,10 +212,7 @@ class Process(Event):
             self.env._queue_event(self)
             tel = self.env._telemetry
             if tel is not None:
-                if tel.capture_processes:
-                    tel.on_process_finish(self, ok=True)
-                else:
-                    tel.processes_finished += 1
+                tel.processes_finished += 1
             return
         except BaseException as error:
             self._ok = False
@@ -230,11 +220,8 @@ class Process(Event):
             self.env._queue_event(self)
             tel = self.env._telemetry
             if tel is not None:
-                if tel.capture_processes:
-                    tel.on_process_finish(self, ok=False)
-                else:
-                    tel.processes_finished += 1
-                    tel.processes_failed += 1
+                tel.processes_finished += 1
+                tel.processes_failed += 1
             return
 
         if not isinstance(next_event, Event):
@@ -333,8 +320,8 @@ class AnyOf(_Condition):
 class Environment:
     """The simulation clock and event queue."""
 
-    def __init__(self, initial_time: float = 0.0, telemetry=None):
-        self._now = float(initial_time)
+    def __init__(self, telemetry=None):
+        self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
         #: Optional telemetry sink (duck-typed; see module docstring).

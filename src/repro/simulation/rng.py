@@ -1,7 +1,7 @@
 """Seeded random-number streams for reproducible simulations.
 
-Every stochastic component (spot interruptions, network jitter, workload
-shuffling) draws from its own named stream so that adding randomness to
+Every stochastic component (spot interruptions, fault schedules,
+workload shuffling) draws from its own named stream so that adding randomness to
 one subsystem never perturbs another. Streams are derived from a single
 base seed via :class:`numpy.random.SeedSequence` spawning, which is the
 recommended way to build independent generators.

@@ -7,8 +7,8 @@ not just as end-of-run aggregates.
 
 * :mod:`repro.telemetry.tracer` — sim-time :class:`Span` tracing,
 * :mod:`repro.telemetry.metrics` — counters / gauges / histograms,
-* :mod:`repro.telemetry.sink` — the :class:`Telemetry` facade, the
-  kernel-hook protocol and the zero-overhead :data:`NULL_TELEMETRY`,
+* :mod:`repro.telemetry.sink` — the :class:`Telemetry` facade with its
+  kernel tallies, and the zero-overhead :data:`NULL_TELEMETRY`,
 * :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON (open in
   Perfetto), JSONL event logs, Prometheus text dumps.
 

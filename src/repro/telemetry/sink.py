@@ -1,10 +1,10 @@
 """The telemetry facade: one object wired through a whole run.
 
 :class:`Telemetry` bundles a :class:`~repro.telemetry.tracer.Tracer`
-and a :class:`~repro.telemetry.metrics.MetricsRegistry` and implements
-the kernel-hook protocol the simulation
-:class:`~repro.simulation.Environment` calls on process spawn / finish
-/ interrupt and event scheduling.
+and a :class:`~repro.telemetry.metrics.MetricsRegistry` and keeps the
+plain integer kernel tallies (processes spawned / finished / failed /
+interrupted, queue-depth high-water mark) that the simulation
+:class:`~repro.simulation.Environment` updates in place.
 
 :data:`NULL_TELEMETRY` is the disabled implementation: every method is
 a no-op that returns before formatting any attribute, and ``span()``
@@ -39,19 +39,13 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(self, capture_processes: bool = False):
+    def __init__(self):
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        #: Record a span per simulation process on the ``sim:processes``
-        #: track. Off by default: kernel processes outnumber the
-        #: explicitly instrumented spans and the extra recording is the
-        #: single biggest share of tracing overhead; the process
-        #: *tallies* below are kept either way. Fabric flows count as
-        #: processes in the tallies but never get a span.
-        self.capture_processes = capture_processes
-        # Kernel tallies kept as plain ints on the hot path; folded into
-        # the registry by :meth:`sync_kernel_metrics`. The scheduled-
-        # event count is read from each bound environment's ``_sequence``
+        # Kernel tallies kept as plain ints on the hot path (fabric
+        # flows count as logical processes too); folded into the
+        # registry by :meth:`sync_kernel_metrics`. The scheduled-event
+        # count is read from each bound environment's ``_sequence``
         # counter (the kernel already numbers every event), so only the
         # queue-depth high-water mark costs anything per event.
         self._events_before = 0
@@ -61,7 +55,6 @@ class Telemetry:
         self.processes_finished = 0
         self.processes_failed = 0
         self.processes_interrupted = 0
-        self._open_process_spans: dict[int, Span] = {}
 
     # -- convenience passthroughs -----------------------------------------
 
@@ -89,7 +82,7 @@ class Telemetry:
     def histogram(self, name: str, help: str = "", **kwargs):
         return self.metrics.histogram(name, help, **kwargs)
 
-    # -- kernel hook protocol ----------------------------------------------
+    # -- kernel tallies ----------------------------------------------------
 
     def bind(self, env) -> None:
         """Adopt ``env``'s clock; called by ``Environment.__init__``."""
@@ -103,7 +96,6 @@ class Telemetry:
         if self._env is not None:
             self._events_before += getattr(self._env, "_sequence", 0)
         self._env = env
-        self._open_process_spans.clear()
 
     @property
     def events_scheduled(self) -> int:
@@ -111,30 +103,6 @@ class Telemetry:
         env = self._env
         extra = getattr(env, "_sequence", 0) if env is not None else 0
         return self._events_before + extra
-
-    def on_process_spawn(self, process) -> None:
-        self.processes_spawned += 1
-        if self.capture_processes:
-            self._open_process_spans[id(process)] = self.tracer.begin(
-                process.name, category="process", track="sim:processes"
-            )
-
-    def on_process_finish(self, process, ok: bool) -> None:
-        self.processes_finished += 1
-        if not ok:
-            self.processes_failed += 1
-        span = self._open_process_spans.pop(id(process), None)
-        if span is not None:
-            span.attrs["ok"] = ok
-            self.tracer.finish(span)
-
-    def on_process_interrupt(self, process, cause: Any) -> None:
-        self.processes_interrupted += 1
-        if self.capture_processes:
-            self.tracer.instant(
-                "interrupt", category="process", track="sim:processes",
-                process=process.name, cause=str(cause),
-            )
 
     def sync_kernel_metrics(self) -> None:
         """Fold the kernel tallies into the registry (idempotent)."""

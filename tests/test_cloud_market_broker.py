@@ -26,9 +26,8 @@ class TestSpotPriceModel:
     def test_price_never_exceeds_ondemand(self):
         model = SpotPriceModel(ondemand_per_h=1.0, mean_discount=0.5,
                                swing=0.3)
-        rng = np.random.default_rng(0)
         for t in np.linspace(0, DAY, 50):
-            assert 0 < model.price_at(t, rng=rng, noise=0.5) <= 1.0
+            assert 0 < model.price_at(t) <= 1.0
 
     def test_timezone_shifts_the_peak(self):
         us = SpotPriceModel(1.0, 0.5, swing=0.3, tz_offset_hours=-6)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments import SweepGrid, run_sweep
+from repro.orchestrator import Orchestrator
 
 
 class TestSweepGrid:
@@ -74,10 +75,21 @@ class TestRunSweep:
         sweep = run_sweep(grid, epochs=2)
         assert not sweep.results
         assert len(sweep.failures) == 1
-        # Failures still unpack like the historical (point, error) tuple.
-        point, error = sweep.failures[0]
-        assert point == ("conv", "Z-99", 32768)
-        assert "unknown experiment" in error
+        failure = sweep.failures[0]
+        assert failure.point == ("conv", "Z-99", 32768)
+        assert "unknown experiment" in failure.error
+
+    def test_counters_cover_only_this_sweep(self):
+        # One orchestrator serves three sweeps; the last is all memo.
+        orchestrator = Orchestrator()
+        conv = SweepGrid(models=("conv",), experiments=("A-2",))
+        rn18 = SweepGrid(models=("rn18",), experiments=("A-2",))
+        sweeps = [run_sweep(grid, epochs=2, orchestrator=orchestrator)
+                  for grid in (conv, rn18, conv)]
+        assert [s.executed for s in sweeps] == [1, 1, 0]
+        assert [s.cache_misses for s in sweeps] == [1, 1, 0]
+        assert [s.cache_hits for s in sweeps] == [0, 0, 1]
+        assert orchestrator.executed == 2
 
     def test_failure_records_carry_type_and_traceback(self):
         grid = SweepGrid(models=("conv",), experiments=("Z-99",))

@@ -5,10 +5,13 @@ import pytest
 from repro.experiments import (
     ANCHORS,
     ValidationRow,
+    generate,
     render_scorecard,
     run_validation,
+    write_markdown_report,
 )
 from repro.experiments.validation import Anchor
+from repro.orchestrator import Orchestrator
 
 
 class TestAnchorCatalog:
@@ -65,6 +68,47 @@ class TestScorecard:
         assert "paper" in text
         assert "anchors within tolerance" in text
         assert "DGX-2" in text
+
+
+class TestSharedRuns:
+    """Reports regenerated together simulate each distinct point once."""
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        import repro.experiments.runner as runner
+
+        calls = []
+        original = runner.run_hivemind
+
+        def counted(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(runner, "run_hivemind", counted)
+        return calls
+
+    @staticmethod
+    def _distinct(keys, simulations):
+        orchestrator = Orchestrator()
+        for key in keys:
+            generate(key, epochs=2, orchestrator=orchestrator)
+        count = len(simulations)
+        simulations.clear()
+        return count
+
+    def test_validation_simulates_each_point_once(self, simulations):
+        keys = ["fig01", "fig07"]
+        distinct = self._distinct(keys, simulations)
+        run_validation(epochs=2, report_keys=keys)
+        assert len(simulations) == distinct
+
+    def test_markdown_report_simulates_each_point_once(self, simulations,
+                                                       tmp_path):
+        keys = ["fig10", "fig11"]
+        distinct = self._distinct(keys, simulations)
+        write_markdown_report(tmp_path / "r.md", keys=keys, epochs=2,
+                              include_scorecard=False)
+        assert len(simulations) == distinct
 
 
 def test_cli_formats(tmp_path, capsys):

@@ -130,16 +130,6 @@ def test_multiple_streams_raise_throughput():
     assert env.now == pytest.approx(expected, rel=0.01)
 
 
-def test_stream_cap_models_serialization_bottleneck():
-    topo = two_site_topology(nic_bps=10 * GBPS)
-    env = Environment()
-    fabric = Fabric(env, topo, stream_cap_bps=1.1 * GBPS)
-    nbytes = 1.1e9 / 8  # 1.1 Gbit
-    done = fabric.transfer("a", "b", nbytes)
-    env.run(done)
-    assert env.now == pytest.approx(1.0, rel=0.01)
-
-
 def test_traffic_meter_records_pairs_and_classes():
     topo = two_site_topology()
     env = Environment()
@@ -207,41 +197,6 @@ def test_channel_capacity_validation():
         fabric.define_channel("x", 0.0)
 
 
-def test_jitter_varies_flow_ceilings():
-    import numpy as np
-
-    # TCP-capped path (500 Mb/s) so the jittered ceiling always binds.
-    topo = two_site_topology(nic_bps=1 * GBPS, window=1e6, rtt=0.016)
-    durations = []
-    for seed in range(4):
-        env = Environment()
-        fabric = Fabric(env, topo, jitter=0.3,
-                        rng=np.random.default_rng(seed))
-        done = fabric.transfer("a", "b", 125e6)
-        env.run(done)
-        durations.append(env.now)
-    assert len(set(durations)) > 1  # different seeds, different times
-
-
-def test_jitter_zero_is_deterministic():
-    topo = two_site_topology(nic_bps=1 * GBPS)
-    times = []
-    for __ in range(2):
-        env = Environment()
-        fabric = Fabric(env, topo, jitter=0.0)
-        done = fabric.transfer("a", "b", 125e6)
-        env.run(done)
-        times.append(env.now)
-    assert times[0] == times[1]
-
-
-def test_negative_jitter_rejected():
-    topo = two_site_topology()
-    env = Environment()
-    with pytest.raises(ValueError):
-        Fabric(env, topo, jitter=-0.1)
-
-
 def test_simultaneous_completions_follow_admission_order():
     # Equal transfers on disjoint pairs all finish at one instant; they
     # must complete in the order they were started, not in whatever
@@ -265,8 +220,10 @@ def test_simultaneous_completions_follow_admission_order():
     assert finished == list(range(pairs))
 
 
-def _flow_tallies(telemetry):
-    """One completed and one aborted transfer under ``telemetry``."""
+def test_flow_tallies_do_not_depend_on_process_capture():
+    # The fabric admits flows with timer callbacks, not kernel
+    # processes, yet tallies each flow as one logical process.
+    telemetry = Telemetry()
     env = Environment(telemetry=telemetry)
     fabric = Fabric(env, two_site_topology(rtt=0.2), telemetry=telemetry)
     completed = fabric.transfer("a", "b", 125e6)
@@ -274,18 +231,7 @@ def _flow_tallies(telemetry):
     env.run(env.timeout(0.5))
     assert fabric.abort(aborted)
     env.run(completed)
-    assert telemetry.processes_spawned == telemetry.processes_finished
-    return (
-        telemetry.processes_spawned,
-        telemetry.processes_finished,
-        fabric.aborted_flows,
-        telemetry.metrics.counter("transfers_total").total,
-        fabric.meter.total_bytes,
-    )
-
-
-def test_flow_tallies_do_not_depend_on_process_capture():
-    default = _flow_tallies(Telemetry())
-    captured = _flow_tallies(Telemetry(capture_processes=True))
-    assert default == captured
-    assert default[:4] == (2, 2, 1, 1)
+    assert telemetry.processes_spawned == telemetry.processes_finished == 2
+    assert fabric.aborted_flows == 1
+    assert telemetry.metrics.counter("transfers_total").total == 1
+    assert fabric.meter.total_bytes > 125e6

@@ -270,6 +270,20 @@ class TestOrchestrator:
         with pytest.raises(KeyError):
             orch.experiment("Z-99", "conv", epochs=2)
 
+    def test_outcome_source_names_the_lookup_that_served_it(self, tmp_path):
+        job = ExperimentJob.make("A-2", "conv", epochs=2)
+        cached = Orchestrator(cache=RunCache(tmp_path / "cache"))
+        (executed,) = cached.map([job])
+        (memo,) = cached.map([job])
+        fresh = Orchestrator(cache=RunCache(tmp_path / "cache"))
+        (disk,) = fresh.map([job])
+        assert [executed.source, memo.source, disk.source] == \
+            ["executed", "memo", "cache"]
+        assert memo.result is executed.result
+        assert disk.result.throughput_sps == executed.result.throughput_sps
+        assert (cached.executed, cached.memo_hits) == (1, 1)
+        assert (fresh.executed, fresh.cache.hits) == (0, 1)
+
 
 # ---------------------------------------------------------------------------
 # serial == parallel byte-identity
@@ -280,7 +294,8 @@ class TestParallelIdentity:
 
     def test_jobs4_matches_serial_bytes(self, tmp_path):
         serial = run_sweep(self.GRID, epochs=2)
-        parallel = run_sweep(self.GRID, epochs=2, jobs=4)
+        parallel = run_sweep(self.GRID, epochs=2,
+                             orchestrator=Orchestrator(jobs=4))
         a = serial.to_json(tmp_path / "serial.json")
         b = parallel.to_json(tmp_path / "parallel.json")
         assert a.read_bytes() == b.read_bytes()
@@ -292,7 +307,8 @@ class TestParallelIdentity:
         grid = SweepGrid(models=("conv", "rn18"), experiments=("B-2",))
         schedule = chaos_schedule_for("B-2", seed=0)
         serial = run_sweep(grid, epochs=2, fault_schedule=schedule)
-        parallel = run_sweep(grid, epochs=2, jobs=2,
+        parallel = run_sweep(grid, epochs=2,
+                             orchestrator=Orchestrator(jobs=2),
                              fault_schedule=schedule)
         a = serial.to_json(tmp_path / "serial.json")
         b = parallel.to_json(tmp_path / "parallel.json")
@@ -307,7 +323,8 @@ class TestParallelIdentity:
         grid = SweepGrid(models=("conv", "rn18"), experiments=("A-2",))
         schedule = chaos_schedule_for("B-2", seed=0)
         serial = run_sweep(grid, epochs=2, fault_schedule=schedule)
-        parallel = run_sweep(grid, epochs=2, jobs=2,
+        parallel = run_sweep(grid, epochs=2,
+                             orchestrator=Orchestrator(jobs=2),
                              fault_schedule=schedule)
         assert len(serial.failures) == len(parallel.failures) == 2
         for left, right in zip(serial.failures, parallel.failures):
@@ -317,11 +334,12 @@ class TestParallelIdentity:
 
     def test_warm_cache_executes_nothing(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
-        cold = run_sweep(self.GRID, epochs=2, jobs=2, cache=cache)
+        cold = run_sweep(self.GRID, epochs=2,
+                         orchestrator=Orchestrator(cache=cache, jobs=2))
         assert cold.executed == len(self.GRID)
 
-        warm = run_sweep(self.GRID, epochs=2,
-                         cache=RunCache(tmp_path / "cache"))
+        warm = run_sweep(self.GRID, epochs=2, orchestrator=Orchestrator(
+            cache=RunCache(tmp_path / "cache")))
         assert warm.executed == 0
         assert warm.cache_hits == len(self.GRID)
         assert warm.cache_misses == 0
