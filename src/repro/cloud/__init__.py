@@ -15,12 +15,8 @@ from .pricing import (
     egress_price_per_gb,
     instance_price_per_hour,
 )
-from .spot import (
-    InterruptionModel,
-    expected_downtime_fraction,
-    expected_throughput_penalty,
-)
-from .spot_market import SpotPriceModel, integrate_price_usd, price_series
+from .spot import InterruptionModel
+from .spot_market import SpotPriceModel, integrate_price_usd
 
 __all__ = [
     "B2_EGRESS_PER_GB",
@@ -28,7 +24,6 @@ __all__ = [
     "FleetEvent",
     "SpotPriceModel",
     "integrate_price_usd",
-    "price_series",
     "INSTANCE_TYPES",
     "InstanceType",
     "InterruptionModel",
@@ -37,8 +32,6 @@ __all__ = [
     "SpotFleet",
     "VmSlot",
     "egress_price_per_gb",
-    "expected_downtime_fraction",
-    "expected_throughput_penalty",
     "get_instance_type",
     "host_ram_required_gb",
     "instance_price_per_hour",

@@ -37,7 +37,6 @@ from .policy import (
     ScalingPolicy,
     TbsPolicy,
     get_policy,
-    policy_names,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "TbsPolicy",
     "default_price_models",
     "get_policy",
-    "policy_names",
 ]

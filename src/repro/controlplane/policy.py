@@ -48,7 +48,6 @@ __all__ = [
     "ScalingPolicy",
     "TbsPolicy",
     "get_policy",
-    "policy_names",
 ]
 
 
@@ -307,10 +306,6 @@ POLICIES = {
     "tbs": TbsPolicy,
     "scale": ScalingPolicy,
 }
-
-
-def policy_names() -> list[str]:
-    return list(POLICIES)
 
 
 def get_policy(name: str):

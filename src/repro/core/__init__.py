@@ -12,7 +12,6 @@ from .costs import (
 from .granularity import (
     best_speedup_when_doubling,
     granularity,
-    peers_needed_for_speedup,
     per_gpu_contribution,
     speedup_from_scaling,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "cost_report",
     "evaluate_setup",
     "granularity",
-    "peers_needed_for_speedup",
     "per_gpu_contribution",
     "predict",
     "recommend_target_batch_size",

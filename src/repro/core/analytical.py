@@ -6,8 +6,11 @@ a hub exchange, each constrained by the per-VM serialization cap and
 the single-stream TCP limit — but as arithmetic instead of events.
 The paper's practitioners need exactly this: predicting throughput for
 a setup *before* renting it (Section 8, estimating training performance
-with additional spot VMs). Tests cross-validate it against the
-simulator.
+with additional spot VMs). It is the simulator's oracle:
+``tests/test_core_analytical.py::TestCrossValidation`` holds
+``run_hivemind`` within 2 % of it in throughput and granularity over
+1, 2 and 4 regions × 4 and 8 peers × CONV and RXLM, and shows that a
+5 % error in the averager's bytes breaks that bound.
 """
 
 from __future__ import annotations
@@ -127,6 +130,8 @@ def predict(
 
     if not peers:
         raise ValueError("need at least one peer")
+    if target_batch_size < 1:
+        raise ValueError("target_batch_size must be >= 1")
     model = model_key if isinstance(model_key, ModelSpec) else get_model(
         model_key
     )

@@ -2,12 +2,6 @@
 
 from .datasets import DATASETS, DatasetSpec, get_dataset
 from .storage import DataBill, ObjectStore, StoreLink
-from .synthetic import (
-    build_synthetic_shards,
-    commonvoice_like_samples,
-    imagenet_like_samples,
-    wikipedia_like_samples,
-)
 from .webdataset import (
     DECODERS,
     ShardCache,
@@ -21,10 +15,6 @@ from .webdataset import (
 
 __all__ = [
     "DATASETS",
-    "build_synthetic_shards",
-    "commonvoice_like_samples",
-    "imagenet_like_samples",
-    "wikipedia_like_samples",
     "DECODERS",
     "DataBill",
     "DatasetSpec",

@@ -2,7 +2,7 @@
 
 from .scaling import square_cube_family, synthetic_transformer
 from .specs import Domain, ModelSpec
-from .zoo import ASR_KEYS, CV_KEYS, MODELS, NLP_KEYS, get_model, models_in_domain
+from .zoo import ASR_KEYS, CV_KEYS, MODELS, NLP_KEYS, get_model
 
 __all__ = [
     "ASR_KEYS",
@@ -14,5 +14,4 @@ __all__ = [
     "ModelSpec",
     "NLP_KEYS",
     "get_model",
-    "models_in_domain",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .specs import Domain, ModelSpec
 
-__all__ = ["MODELS", "get_model", "models_in_domain", "CV_KEYS", "NLP_KEYS", "ASR_KEYS"]
+__all__ = ["MODELS", "get_model", "CV_KEYS", "NLP_KEYS", "ASR_KEYS"]
 
 _GFLOP = 1e9
 
@@ -104,7 +104,3 @@ def get_model(key: str) -> ModelSpec:
     if key not in MODELS:
         raise KeyError(f"unknown model {key!r}; known: {sorted(MODELS)}")
     return MODELS[key]
-
-
-def models_in_domain(domain: str) -> list[ModelSpec]:
-    return [spec for spec in MODELS.values() if spec.domain == domain]

@@ -4,11 +4,9 @@ from .fabric import Fabric, Flow, TrafficMeter, TransferAborted
 from .profiler import ProfileResult, measure_bandwidth_bps, measure_rtt_s, profile_matrix
 from .profiles import LOCATIONS, PATH_OVERRIDES, build_topology, location_of
 from .tcp import (
-    bandwidth_delay_product_bytes,
     effective_ceiling_bps,
     multi_stream_bps,
     single_stream_bps,
-    stream_count_for_capacity,
 )
 from .topology import (
     GBPS,
@@ -34,7 +32,6 @@ __all__ = [
     "TrafficClass",
     "TrafficMeter",
     "TransferAborted",
-    "bandwidth_delay_product_bytes",
     "build_topology",
     "classify_traffic",
     "effective_ceiling_bps",
@@ -44,5 +41,4 @@ __all__ = [
     "multi_stream_bps",
     "profile_matrix",
     "single_stream_bps",
-    "stream_count_for_capacity",
 ]

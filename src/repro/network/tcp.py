@@ -18,8 +18,6 @@ from .topology import PathSpec
 __all__ = [
     "single_stream_bps",
     "multi_stream_bps",
-    "stream_count_for_capacity",
-    "bandwidth_delay_product_bytes",
     "effective_ceiling_bps",
 ]
 
@@ -58,19 +56,3 @@ def effective_ceiling_bps(path: PathSpec, streams: int = 1) -> float:
     budget) are enforced there, not here.
     """
     return max(streams, 1) * path.single_stream_bps
-
-
-def stream_count_for_capacity(path: PathSpec) -> int:
-    """Minimum number of parallel streams that saturates the path."""
-    per_stream = single_stream_bps(path)
-    if per_stream >= path.capacity_bps:
-        return 1
-    count = 1
-    while multi_stream_bps(path, count) < path.capacity_bps:
-        count += 1
-    return count
-
-
-def bandwidth_delay_product_bytes(path: PathSpec) -> float:
-    """Bytes in flight needed to saturate the path with one stream."""
-    return path.capacity_bps * path.rtt_s / 8.0

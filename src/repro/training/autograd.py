@@ -13,7 +13,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad"]
+__all__ = ["Tensor"]
 
 ArrayLike = Union[np.ndarray, float, int, list]
 
@@ -33,24 +33,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class _NoGrad:
-    """Context manager disabling graph construction."""
-
-    _active = False
-
-    def __enter__(self):
-        self._previous = _NoGrad._active
-        _NoGrad._active = True
-        return self
-
-    def __exit__(self, *exc_info):
-        _NoGrad._active = self._previous
-
-
-def no_grad() -> _NoGrad:
-    return _NoGrad()
-
-
 class Tensor:
     """An array with an optional gradient and a backward closure."""
 
@@ -66,7 +48,7 @@ class Tensor:
     ):
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad and not _NoGrad._active
+        self.requires_grad = requires_grad
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 

@@ -1,66 +1,15 @@
-"""Learning-rate schedules and gradient clipping.
+"""Gradient clipping for big-batch training.
 
-Big-batch training — the paper's whole premise rests on target batch
-sizes of 8K-64K remaining trainable — needs more than a bare optimizer:
-LAMB is typically run with linear warmup, cosine decay, and gradient
-clipping (You et al., 2019). These utilities plug into
-:class:`~repro.training.trainer.LocalTrainer` and the hivemind peers.
+LAMB is typically run with gradient clipping (You et al., 2019);
+:class:`~repro.training.trainer.LocalTrainer` applies it when given
+``max_grad_norm``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["ConstantSchedule", "WarmupCosineSchedule", "clip_gradient_norm"]
-
-
-class ConstantSchedule:
-    """A flat learning rate."""
-
-    def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        self.learning_rate = learning_rate
-
-    def lr_at(self, step: int) -> float:
-        return self.learning_rate
-
-
-class WarmupCosineSchedule:
-    """Linear warmup followed by cosine decay to a floor."""
-
-    def __init__(
-        self,
-        base_lr: float,
-        warmup_steps: int,
-        total_steps: int,
-        min_lr: float = 0.0,
-    ):
-        if base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if warmup_steps < 0 or total_steps <= warmup_steps:
-            raise ValueError("need 0 <= warmup_steps < total_steps")
-        if not 0 <= min_lr <= base_lr:
-            raise ValueError("need 0 <= min_lr <= base_lr")
-        self.base_lr = base_lr
-        self.warmup_steps = warmup_steps
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-
-    def lr_at(self, step: int) -> float:
-        if step < 0:
-            raise ValueError("step must be >= 0")
-        if self.warmup_steps > 0 and step < self.warmup_steps:
-            return self.base_lr * (step + 1) / self.warmup_steps
-        progress = min(
-            (step - self.warmup_steps)
-            / max(self.total_steps - self.warmup_steps, 1),
-            1.0,
-        )
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
+__all__ = ["clip_gradient_norm"]
 
 
 def clip_gradient_norm(gradient: np.ndarray, max_norm: float) -> np.ndarray:

@@ -6,8 +6,6 @@ import pytest
 from repro.cloud import (
     InterruptionModel,
     SpotFleet,
-    expected_downtime_fraction,
-    expected_throughput_penalty,
     get_instance_type,
 )
 from repro.simulation import Environment
@@ -61,25 +59,6 @@ class TestInterruptionModel:
         a = model.sample_interruption_s(np.random.default_rng(7))
         b = model.sample_interruption_s(np.random.default_rng(7))
         assert a == b
-
-
-class TestPenaltyRule:
-    def test_penalty_is_identity_on_downtime(self):
-        """Paper: x% interruption frequency means roughly x% slower."""
-        assert expected_throughput_penalty(0.05) == 0.05
-        assert expected_throughput_penalty(0.0) == 0.0
-
-    def test_penalty_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            expected_throughput_penalty(1.5)
-
-    def test_downtime_fraction_scales_with_frequency(self):
-        low = expected_downtime_fraction(0.05)
-        high = expected_downtime_fraction(0.20)
-        assert high == pytest.approx(4 * low)
-
-    def test_downtime_fraction_zero_for_no_interruptions(self):
-        assert expected_downtime_fraction(0.0) == 0.0
 
 
 class TestSpotFleet:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cloud import SpotPriceModel, price_series
+from repro.cloud import SpotPriceModel
 
 HOUR = 3600.0
 DAY = 24 * HOUR
@@ -13,8 +13,7 @@ class TestSpotPriceModel:
     def test_mean_discount_preserved_over_a_day(self):
         model = SpotPriceModel(ondemand_per_h=0.572, mean_discount=0.69,
                                swing=0.2)
-        prices = [price for __, price in
-                  price_series(model, 0.0, DAY, step_s=600.0)]
+        prices = [model.price_at(t) for t in np.arange(0.0, DAY, 600.0)]
         mean_price = np.mean(prices)
         assert mean_price == pytest.approx(0.572 * 0.31, rel=0.01)
 
@@ -41,6 +40,3 @@ class TestSpotPriceModel:
             SpotPriceModel(1.0, mean_discount=0.0)
         with pytest.raises(ValueError):
             SpotPriceModel(1.0, mean_discount=0.9, swing=0.5)
-        with pytest.raises(ValueError):
-            price_series(SpotPriceModel(1.0, 0.5), 10.0, 5.0)
-

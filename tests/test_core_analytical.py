@@ -3,6 +3,7 @@ against the discrete-event simulator."""
 
 import pytest
 
+import repro.hivemind.averager as averager
 from repro.core import predict
 from repro.hivemind import HivemindRunConfig, PeerSpec, run_hivemind
 from repro.network import build_topology
@@ -64,39 +65,62 @@ class TestPaperAnchors:
         )
 
 
-class TestCrossValidation:
-    """Analytical prediction and discrete-event simulation must agree."""
+REGIONS = ("gc:us", "gc:eu", "gc:asia", "gc:aus")
 
-    @pytest.mark.parametrize("counts,model", [
-        ({"gc:us": 4}, "conv"),
-        ({"gc:us": 8}, "rxlm"),
-        ({"gc:us": 2, "gc:eu": 2}, "conv"),
-        ({"gc:us": 1, "gc:eu": 1, "gc:asia": 1, "gc:aus": 1}, "rxlm"),
-        ({"onprem:eu": 1, "gc:eu": 4}, "conv"),
-    ])
+# 1, 2 and 4 regions x 4 and 8 T4 peers split evenly x CONV and RXLM
+# (4 regions x 4 peers is one peer per continent), plus a heterogeneous
+# RTX8000 + 4xT4 hybrid.
+GRID = [
+    ({location: peers // regions for location in REGIONS[:regions]}, model)
+    for regions in (1, 2, 4)
+    for peers in (4, 8)
+    for model in ("conv", "rxlm")
+] + [({"onprem:eu": 1, "gc:eu": 4}, "conv")]
+
+# The simulator tracks the prediction to within 1.4 % on this grid; a
+# 5 % error in the averager's bytes moves granularity by 2.8-4.6 %.
+REL = 0.02
+
+
+def prediction_gaps(counts, model):
+    """Relative gaps of the simulated run from the prediction, as
+    ``(throughput, granularity)``."""
+    topo = build_topology(counts)
+    gpus = {"onprem:eu": "rtx8000"}
+    peers = [(f"{location}/{i}", gpus.get(location, "t4"))
+             for location, n in counts.items() for i in range(n)]
+    prediction = predict(model, peers, topo)
+    simulated = run_hivemind(HivemindRunConfig(
+        model=model,
+        peers=[PeerSpec(site, gpu) for site, gpu in peers],
+        topology=topo,
+        epochs=3,
+        monitor_interval_s=None,
+        account_data_loading=False,
+    ))
+    return (
+        abs(simulated.throughput_sps / prediction.throughput_sps - 1.0),
+        abs(simulated.granularity / prediction.granularity - 1.0),
+    )
+
+
+class TestCrossValidation:
+    """The closed-form prediction is the oracle for ``run_hivemind``."""
+
+    @pytest.mark.parametrize("counts,model", GRID)
     def test_simulator_matches_prediction(self, counts, model):
-        topo = build_topology(counts)
-        gpus = {"onprem:eu": "rtx8000"}
-        peers = []
-        for location, n in counts.items():
-            for i in range(n):
-                peers.append((f"{location}/{i}", gpus.get(location, "t4")))
-        prediction = predict(model, peers, topo)
-        config = HivemindRunConfig(
-            model=model,
-            peers=[PeerSpec(site, gpu) for site, gpu in peers],
-            topology=topo,
-            epochs=3,
-            monitor_interval_s=None,
-            account_data_loading=False,
-        )
-        simulated = run_hivemind(config)
-        assert simulated.throughput_sps == pytest.approx(
-            prediction.throughput_sps, rel=0.15
-        )
-        assert simulated.granularity == pytest.approx(
-            prediction.granularity, rel=0.35
-        )
+        throughput_gap, granularity_gap = prediction_gaps(counts, model)
+        assert throughput_gap <= REL
+        assert granularity_gap <= REL
+
+    def test_grid_catches_inflated_averaging_bytes(self, monkeypatch):
+        """The grid fails at every point when the averager ships 5 %
+        more bytes than the model's payload."""
+        real = averager.compressed_nbytes
+        monkeypatch.setattr(averager, "compressed_nbytes",
+                            lambda size, codec: 1.05 * real(size, codec))
+        for counts, model in GRID:
+            assert max(prediction_gaps(counts, model)) > REL, (counts, model)
 
 
 class TestShape:
@@ -104,6 +128,13 @@ class TestShape:
         topo = build_topology({"gc:us": 1})
         with pytest.raises(ValueError):
             predict("conv", [], topo)
+
+    @pytest.mark.parametrize("tbs", [0, -64])
+    def test_prediction_rejects_batch_size_the_simulator_rejects(self, tbs):
+        topo = build_topology({"gc:us": 4})
+        with pytest.raises(ValueError, match="target_batch_size must be >= 1"):
+            predict("conv", make_peers({"gc:us": 4}), topo,
+                    target_batch_size=tbs)
 
     def test_fast_accumulation_gets_instability_penalty(self):
         topo = build_topology({"lambda:us-west": 8})

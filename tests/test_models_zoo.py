@@ -10,7 +10,6 @@ from repro.models import (
     ModelSpec,
     NLP_KEYS,
     get_model,
-    models_in_domain,
 )
 
 
@@ -66,9 +65,9 @@ def test_get_model_unknown_key():
 
 
 def test_models_in_domain():
-    assert {m.key for m in models_in_domain(Domain.CV)} == set(CV_KEYS)
-    assert {m.key for m in models_in_domain(Domain.NLP)} == set(NLP_KEYS)
-    assert {m.key for m in models_in_domain(Domain.ASR)} == set(ASR_KEYS)
+    for domain, keys in ((Domain.CV, CV_KEYS), (Domain.NLP, NLP_KEYS),
+                         (Domain.ASR, ASR_KEYS)):
+        assert {k for k, m in MODELS.items() if m.domain == domain} == set(keys)
 
 
 def test_local_penalty_bounds_match_figure2():

@@ -12,7 +12,6 @@ from repro.network import (
     multi_stream_bps,
     profile_matrix,
     single_stream_bps,
-    stream_count_for_capacity,
 )
 from repro.network.profiles import (
     TABLE3_EXPECTED_MBPS,
@@ -112,13 +111,14 @@ class TestMultiStreamSection7:
     def test_stream_count_needed(self):
         topo = build_topology({"onprem:eu": 1, "gc:us": 1})
         path = topo.path("onprem:eu/0", "gc:us/0")
-        count = stream_count_for_capacity(path)
-        assert 40 <= count <= 90  # ~80 clients in the paper
+        # ~80 clients in the paper: 39 streams fall short, 90 saturate.
+        assert multi_stream_bps(path, 39) < path.capacity_bps
+        assert multi_stream_bps(path, 90) == path.capacity_bps
 
     def test_single_stream_needs_no_parallelism_locally(self):
         topo = build_topology({"gc:us": 2})
         path = topo.path("gc:us/0", "gc:us/1")
-        assert stream_count_for_capacity(path) == 1
+        assert single_stream_bps(path) >= path.capacity_bps
 
 
 def test_profile_matrix_shape():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.training import Tensor, no_grad
+from repro.training import Tensor
 
 
 def numerical_gradient(fn, value, eps=1e-6):
@@ -134,12 +134,6 @@ class TestMechanics:
         out = a * 3.0
         out.backward(np.array([1.0, 10.0]))
         np.testing.assert_allclose(a.grad, [3.0, 30.0])
-
-    def test_no_grad_blocks_graph(self):
-        a = Tensor([1.0], requires_grad=True)
-        with no_grad():
-            out = a * 2.0
-        assert not out.requires_grad
 
     def test_detach(self):
         a = Tensor([1.0], requires_grad=True)

@@ -1,63 +1,16 @@
-"""Tests for learning-rate schedules, clipping, and big-batch training."""
+"""Tests for gradient clipping, LR schedules and big-batch training."""
 
 import numpy as np
 import pytest
 
 from repro.training import (
-    ConstantSchedule,
     LAMB,
     LocalTrainer,
     MLP,
     SGD,
-    WarmupCosineSchedule,
     clip_gradient_norm,
     make_classification_data,
 )
-
-
-class TestWarmupCosine:
-    def test_warmup_ramps_linearly(self):
-        schedule = WarmupCosineSchedule(base_lr=1.0, warmup_steps=10,
-                                        total_steps=100)
-        assert schedule.lr_at(0) == pytest.approx(0.1)
-        assert schedule.lr_at(4) == pytest.approx(0.5)
-        assert schedule.lr_at(9) == pytest.approx(1.0)
-
-    def test_cosine_decays_to_floor(self):
-        schedule = WarmupCosineSchedule(base_lr=1.0, warmup_steps=0,
-                                        total_steps=100, min_lr=0.1)
-        assert schedule.lr_at(0) == pytest.approx(1.0)
-        assert schedule.lr_at(50) == pytest.approx(0.55, abs=0.02)
-        assert schedule.lr_at(100) == pytest.approx(0.1)
-        assert schedule.lr_at(500) == pytest.approx(0.1)
-
-    def test_monotone_after_warmup(self):
-        schedule = WarmupCosineSchedule(base_lr=1.0, warmup_steps=5,
-                                        total_steps=50)
-        values = [schedule.lr_at(s) for s in range(5, 50)]
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WarmupCosineSchedule(base_lr=0.0, warmup_steps=0, total_steps=10)
-        with pytest.raises(ValueError):
-            WarmupCosineSchedule(base_lr=1.0, warmup_steps=10, total_steps=10)
-        with pytest.raises(ValueError):
-            WarmupCosineSchedule(base_lr=1.0, warmup_steps=0, total_steps=10,
-                                 min_lr=2.0)
-        schedule = WarmupCosineSchedule(1.0, 0, 10)
-        with pytest.raises(ValueError):
-            schedule.lr_at(-1)
-
-
-class TestConstant:
-    def test_flat(self):
-        schedule = ConstantSchedule(0.5)
-        assert schedule.lr_at(0) == schedule.lr_at(1000) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(0.0)
 
 
 class TestClipping:
@@ -85,6 +38,13 @@ class TestClipping:
             clip_gradient_norm(np.ones(2), 0.0)
 
 
+class HalvingSchedule:
+    """The trainer's schedule interface: ``lr_at(step)``."""
+
+    def lr_at(self, step):
+        return 0.5 ** step
+
+
 class TestTrainerIntegration:
     def _train(self, optimizer_cls, batch, schedule=None, clip=None,
                lr=0.2, steps=8):
@@ -109,8 +69,7 @@ class TestTrainerIntegration:
         features, labels = make_classification_data(rng, num_samples=64)
         model = MLP(16, [8], 4)
         optimizer = SGD(model.parameters(), lr=1.0)
-        schedule = WarmupCosineSchedule(base_lr=0.5, warmup_steps=2,
-                                        total_steps=10)
+        schedule = HalvingSchedule()
         trainer = LocalTrainer(model, optimizer, target_batch_size=32,
                                microbatch_size=32, schedule=schedule)
         trainer.train_steps(features, labels, num_steps=3)
