@@ -406,6 +406,17 @@ def _parse_setup(tokens: list[str]) -> dict[str, int]:
     return counts
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for options that must be a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_advise(args: argparse.Namespace) -> int:
     counts = _parse_setup(args.setup)
     topology = build_topology(counts)
@@ -575,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
     advise.add_argument("model", help="model key (e.g. conv, rxlm)")
     advise.add_argument("setup", nargs="+",
                         help="location=count tokens, e.g. gc:us=4 gc:eu=4")
-    advise.add_argument("--tbs", type=int, default=32768)
+    advise.add_argument("--tbs", type=_positive_int, default=32768)
     advise.add_argument("--gpu", default="t4")
     advise.set_defaults(func=_cmd_advise)
 

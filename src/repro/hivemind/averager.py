@@ -122,6 +122,8 @@ class MoshpitAverager:
                     fabric.define_channel(f"avg-out:{site}", cap)
                     fabric.define_channel(f"avg-in:{site}", cap)
         self._capped_sites = set(stream_caps_bps)
+        #: ``_channels`` result per (src, dst), memoised for ``_send``.
+        self._route_channels: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -134,8 +136,11 @@ class MoshpitAverager:
         return tuple(channels)
 
     def _send(self, src: str, dst: str, nbytes: float) -> Event:
+        channels = self._route_channels.get((src, dst))
+        if channels is None:
+            channels = self._route_channels[(src, dst)] = self._channels(src, dst)
         return self.fabric.transfer(
-            src, dst, nbytes, tag="averaging", channels=self._channels(src, dst)
+            src, dst, nbytes, tag="averaging", channels=channels
         )
 
     def _plan_for(self, present: set) -> tuple[list, tuple]:

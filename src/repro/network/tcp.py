@@ -11,8 +11,6 @@ multi-stream microbenchmark.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .topology import PathSpec
 
 __all__ = [
@@ -41,13 +39,8 @@ def multi_stream_bps(path: PathSpec, streams: int) -> float:
     return min(path.capacity_bps, streams * per_stream)
 
 
-@lru_cache(maxsize=4096)
 def effective_ceiling_bps(path: PathSpec, streams: int = 1) -> float:
     """Aggregate rate ceiling of a transfer over ``path``.
-
-    Memoised: a pure function of the (frozen) path spec and the stream
-    count, called once per fabric transfer with only a handful of
-    distinct argument combinations per topology.
 
     Each of the ``streams`` parallel TCP streams is limited by
     ``window/RTT``. This is the per-flow ceiling the fabric feeds into

@@ -72,6 +72,8 @@ class Event:
     fires, each callback receives the event.
     """
 
+    __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
+
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
@@ -131,18 +133,26 @@ class Event:
 class Timeout(Event):
     """An event that fires after ``delay`` simulated seconds."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Fields set directly (no ``Event.__init__`` call): one timer is
+        # created per transfer and per completion horizon.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self.defused = False
+        self.delay = delay
         env._queue_event(self, delay=delay)
 
 
 class _Initialize(Event):
     """Kick-starts a process at the current simulation time."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
         super().__init__(env)
@@ -159,6 +169,8 @@ class Process(Event):
     event succeeds, the generator is resumed with the event's value; when
     it fails, the exception is thrown into the generator.
     """
+
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
@@ -247,6 +259,8 @@ class Process(Event):
 class _Condition(Event):
     """Base for events combining several sub-events."""
 
+    __slots__ = ("_events", "_count")
+
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = list(events)
@@ -306,12 +320,16 @@ class _Condition(Event):
 class AllOf(_Condition):
     """Fires when every sub-event has fired; value maps index → value."""
 
+    __slots__ = ()
+
     def _satisfied(self) -> bool:
         return self._count >= len(self._events)
 
 
 class AnyOf(_Condition):
     """Fires when at least one sub-event has fired."""
+
+    __slots__ = ()
 
     def _satisfied(self) -> bool:
         return self._count >= 1 or not self._events

@@ -4,7 +4,6 @@ from .autograd import Tensor
 from .layers import MLP, Linear, Module, ReLU, Sequential
 from .losses import cross_entropy
 from .optimizers import LAMB, SGD, Optimizer
-from .schedules import clip_gradient_norm
 from .trainer import (
     GradientAccumulator,
     LocalTrainer,
@@ -14,7 +13,6 @@ from .trainer import (
 )
 
 __all__ = [
-    "clip_gradient_norm",
     "GradientAccumulator",
     "LAMB",
     "Linear",

@@ -1,7 +1,7 @@
 """A small reverse-mode automatic differentiation engine on numpy.
 
 This is the numerical heart of the training substrate: enough autograd
-to train MLPs / logistic regression / embedding models so that the
+to train MLPs and logistic regression models so that the
 decentralized averaging experiments operate on *real gradients* rather
 than placeholder byte blobs. Supports broadcasting, matmul, elementwise
 nonlinearities and reductions.
@@ -182,15 +182,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data ** 2))
-
-        return self._make(out_data, (self,), backward)
-
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
@@ -252,19 +243,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad.T)
-
-        return self._make(out_data, (self,), backward)
-
-    def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Row lookup (the embedding primitive): output[i] = self[idx[i]]."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[indices]
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, indices, grad)
-                self._accumulate(full)
 
         return self._make(out_data, (self,), backward)
 

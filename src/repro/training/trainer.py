@@ -123,8 +123,6 @@ class LocalTrainer:
         target_batch_size: int,
         microbatch_size: int,
         loss_fn: Callable[[Tensor, np.ndarray], Tensor] = cross_entropy,
-        schedule=None,
-        max_grad_norm: Optional[float] = None,
         telemetry=None,
     ):
         if microbatch_size < 1:
@@ -143,9 +141,6 @@ class LocalTrainer:
         self.optimizer = optimizer
         self.loss_fn = loss_fn
         self.microbatch_size = microbatch_size
-        self.schedule = schedule
-        self.max_grad_norm = max_grad_norm
-        self.steps_taken = 0
         self.accumulator = GradientAccumulator(
             parameter_count=model.state_vector().size,
             target_batch_size=target_batch_size,
@@ -178,15 +173,7 @@ class LocalTrainer:
 
     def apply_accumulated(self) -> None:
         """Apply the averaged accumulated gradient as one optimizer step."""
-        gradient = self.accumulator.average()
-        if self.max_grad_norm is not None:
-            from .schedules import clip_gradient_norm
-
-            gradient = clip_gradient_norm(gradient, self.max_grad_norm)
-        if self.schedule is not None:
-            self.optimizer.lr = self.schedule.lr_at(self.steps_taken)
-        self.model.load_grad_vector(gradient)
+        self.model.load_grad_vector(self.accumulator.average())
         self.optimizer.step()
-        self.steps_taken += 1
         self._steps_counter.inc()
         self.accumulator.reset()

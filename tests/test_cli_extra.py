@@ -24,6 +24,14 @@ def test_advise_default_count_is_one(capsys):
     assert "peers: 2" in out
 
 
+@pytest.mark.parametrize("tbs", ["0", "-64", "many"])
+def test_advise_rejects_bad_tbs_as_usage_error(tbs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["advise", "conv", "gc:us=4", "--tbs", tbs])
+    assert exit_info.value.code == 2
+    assert "--tbs" in capsys.readouterr().err
+
+
 def test_run_unknown_report_raises():
     with pytest.raises(KeyError):
         main(["run", "fig99"])

@@ -38,7 +38,8 @@ def reference_rates(fabric):
     rates = {}
     for flow in fabric._flows:
         rates[flow] = 0.0
-        for resource_id in flow.resources:
+        for state in flow.states:
+            resource_id = state.rid
             if resource_id not in resources:
                 resources[resource_id] = _ResourceState(
                     capacity=fabric._resource_capacity(resource_id)

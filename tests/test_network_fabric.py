@@ -1,9 +1,11 @@
 """Tests for the flow-level fabric: fair sharing, TCP caps, metering."""
 
+import gc
+
 import pytest
 
-from repro.network import Fabric, GBPS, Site, Topology
-from repro.simulation import Environment
+from repro.network import Fabric, Flow, GBPS, Site, Topology, TransferAborted
+from repro.simulation import Environment, Event
 from repro.telemetry import Telemetry
 
 
@@ -235,3 +237,68 @@ def test_flow_tallies_do_not_depend_on_process_capture():
     assert fabric.aborted_flows == 1
     assert telemetry.metrics.counter("transfers_total").total == 1
     assert fabric.meter.total_bytes > 125e6
+
+
+def test_topology_change_reaches_idle_route():
+    # The a->b resources are idle when the path is slowed; the next
+    # transfers on that route must still share the new path capacity
+    # (two flows, so the per-flow TCP ceiling alone cannot hide it).
+    topo = two_site_topology(nic_bps=1 * GBPS)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    env.run(fabric.transfer("a", "b", 125e6))
+    topo.set_path("a", "b", capacity_bps=0.5 * GBPS)
+    fabric.on_topology_change()
+    start = env.now
+    env.run(env.all_of([fabric.transfer("a", "b", 125e6) for _ in range(2)]))
+    assert env.now - start == pytest.approx(4.0, rel=0.01)
+
+
+def test_redefined_channel_applies_to_idle_channel():
+    topo = two_site_topology(nic_bps=1 * GBPS)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    fabric.define_channel("avg:a", 100e6)
+    env.run(fabric.transfer("a", "b", 12.5e6, channels=("avg:a",)))
+    fabric.define_channel("avg:a", 50e6)
+    start = env.now
+    env.run(fabric.transfer("a", "b", 12.5e6, channels=("avg:a",)))
+    assert env.now - start == pytest.approx(2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("fan_out", [200, 2000])
+def test_finished_flows_leave_no_cyclic_garbage(fan_out):
+    # Reference counting alone must free every finished or aborted
+    # flow and its completion event: with the cyclic collector off
+    # and every unreachable object saved, a collection after the run
+    # may find neither.
+    was_enabled = gc.isenabled()
+    old_debug = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        env = Environment()
+        fabric = Fabric(env, two_site_topology(nic_bps=1 * GBPS, rtt=0.01))
+        fabric.define_channel("avg:a", 0.5 * GBPS)
+        dones = [
+            fabric.transfer("a", "b" if index % 2 else "c", 1e5 * (1 + index % 7),
+                            channels=("avg:a",) if index % 3 else ())
+            for index in range(fan_out)
+        ]
+        env.run(env.timeout(0.5))
+        victim = next(done for done in dones if not done.triggered)
+        assert fabric.abort(victim)
+        env.run()
+        assert all(done.processed for done in dones)
+        assert isinstance(victim.value, TransferAborted)
+        del dones, victim, env, fabric
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, (Flow, Event))]
+        assert not leaked, f"{len(leaked)} flows/events left in reference cycles"
+    finally:
+        gc.set_debug(old_debug)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
